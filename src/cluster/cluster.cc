@@ -1,16 +1,8 @@
 #include "cluster/cluster.h"
 
-#include <algorithm>
-#include <cmath>
-#include <memory>
-
-#include "cluster/parallel.h"
+#include "cluster/fleet.h"
 #include "common/log.h"
 #include "common/walltime.h"
-#include "exp/oracle.h"
-#include "exp/registry.h"
-#include "obs/capture.h"
-#include "sim/soc.h"
 
 namespace moca::cluster {
 
@@ -28,9 +20,6 @@ ClusterResult
 runCluster(const ClusterConfig &cfg,
            const std::vector<ClusterTask> &tasks)
 {
-    const std::size_t n = cfg.socs.size();
-    if (n == 0)
-        fatal("cluster needs at least one SoC");
     for (std::size_t i = 1; i < tasks.size(); ++i)
         if (tasks[i].arrival < tasks[i - 1].arrival)
             fatal("cluster task stream must be sorted by arrival "
@@ -41,233 +30,44 @@ runCluster(const ClusterConfig &cfg,
                   static_cast<unsigned long long>(
                       tasks[i - 1].arrival));
 
-    // Each SoC runs its own policy instance (policies are stateful).
-    // Policies are declared before the SoCs that reference them so
-    // they outlive the simulators.
-    std::vector<std::unique_ptr<sim::Policy>> policies;
-    std::vector<std::unique_ptr<sim::Soc>> socs;
-    policies.reserve(n);
-    socs.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        sim::SocConfig soc_cfg = cfg.socs[i];
-        soc_cfg.socId = static_cast<int>(i);
-        policies.push_back(
-            exp::PolicyRegistry::instance().make(cfg.policy, soc_cfg));
-        socs.push_back(
-            std::make_unique<sim::Soc>(soc_cfg, *policies.back()));
-        if (cfg.capture)
-            socs.back()->trace().enable();
-        socs.back()->beginRun(cfg.maxCycles);
-    }
-    const auto dispatcher = DispatcherRegistry::instance().make(
-        cfg.dispatcher, static_cast<int>(n), cfg.dispatcherSeed);
-
-    std::vector<int> placed(n, 0);
-    std::vector<double> outstanding_macs(n, 0.0);
-    std::vector<std::size_t> seen_results(n, 0);
-
-    // Completed jobs retire their work from the dispatcher's
-    // outstanding-MACs feedback signal.
-    const auto harvest = [&](std::size_t i) {
-        const auto &results = socs[i]->results();
-        for (std::size_t r = seen_results[i]; r < results.size(); ++r)
-            outstanding_macs[i] -= static_cast<double>(
-                results[r].spec.model->totalMacs());
-        seen_results[i] = results.size();
-    };
-
-    // The conservative-PDES engine advances the fleet between
-    // dispatch points: SoCs share nothing until the next arrival, so
-    // every worker advances its shard to the arrival horizon and the
-    // barrier hands a quiescent fleet back to this (single-threaded)
-    // dispatcher loop.  harvest runs on the worker that owns the SoC
-    // — it only touches that SoC's own feedback slots.
-    std::vector<sim::Soc *> fleet;
-    fleet.reserve(n);
-    for (const auto &soc : socs)
-        fleet.push_back(soc.get());
-    ParallelEngine engine(std::move(fleet), cfg.jobs, harvest,
-                          cfg.profile);
-
-    // Capture-mode epoch spans: delta the engine's epoch/stall
-    // counters around each advance so the exporter can draw the
-    // PDES timeline.  Plain delegation when capture is off.
-    Cycles last_horizon = 0;
-    const auto advance = [&](Cycles horizon) {
-        if (!cfg.capture) {
-            engine.advanceFleet(horizon);
-            return;
-        }
-        const EpochStats before = engine.stats();
-        engine.advanceFleet(horizon);
-        const EpochStats &after = engine.stats();
-        Cycles end = horizon;
-        if (horizon == sim::kNoHorizon) {
-            end = last_horizon;
-            for (const auto &soc : socs)
-                end = std::max(end, soc->now());
-        }
-        if (after.epochs > before.epochs)
-            cfg.capture->epochs.push_back(
-                {last_horizon, end,
-                 after.socsStepped - before.socsStepped, false});
-        else if (after.horizonStalls > before.horizonStalls)
-            cfg.capture->epochs.push_back({last_horizon, end, 0, true});
-        last_horizon = end;
-    };
+    // The fleet core (cluster/fleet.h) advances the fleet between
+    // dispatch points on the conservative-PDES engine: SoCs share
+    // nothing until the next arrival, so each epoch ends at an
+    // arrival and hands a quiescent fleet back to this loop.
+    Fleet fleet(cfg);
+    const std::size_t n = fleet.size();
+    std::vector<SocLoad> loads(n);
 
     WallTimer dispatch_timer;
     double dispatch_sec = 0.0;
-
-    for (const ClusterTask &task : tasks) {
-        advance(task.arrival);
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+        const ClusterTask &task = tasks[t];
+        fleet.advance(task.arrival);
+        // Completed jobs only retire their work from the dispatcher's
+        // outstanding-MACs feedback signal.
+        fleet.harvest([](std::size_t, int, const sim::JobResult &) {});
         if (cfg.profile)
             dispatch_timer.restart();
-
-        std::vector<SocLoad> loads(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            SocLoad &l = loads[i];
-            l.socIdx = static_cast<int>(i);
-            l.now = socs[i]->now();
-            l.waiting = static_cast<int>(socs[i]->waitingCount());
-            l.running = static_cast<int>(socs[i]->runningCount());
-            l.freeTiles = socs[i]->freeTiles();
-            l.numTiles = socs[i]->config().numTiles;
-            l.tasksAssigned = placed[i];
-            l.outstandingMacs = outstanding_macs[i];
-        }
-
-        const int k = dispatcher->place(task, loads);
-        if (k < 0 || k >= static_cast<int>(n))
-            fatal("dispatcher '%s' placed task %d on SoC %d of %zu",
-                  cfg.dispatcher.c_str(), task.id, k, n);
-
-        sim::JobSpec spec;
-        spec.id = static_cast<int>(socs[static_cast<std::size_t>(
-            k)]->jobs().size());
-        spec.model = &dnn::getModel(task.model);
-        spec.dispatch = task.arrival;
-        spec.priority = task.priority;
-        spec.slaLatency = task.slaLatency;
-        socs[static_cast<std::size_t>(k)]->injectJob(spec);
-        placed[static_cast<std::size_t>(k)]++;
-        outstanding_macs[static_cast<std::size_t>(k)] +=
-            static_cast<double>(spec.model->totalMacs());
-        engine.noteInjected(static_cast<std::size_t>(k));
+        for (std::size_t i = 0; i < n; ++i)
+            loads[i] = fleet.load(i);
+        fleet.inject(fleet.place(task, loads), task,
+                     static_cast<int>(t));
         if (cfg.profile)
             dispatch_sec += dispatch_timer.restart();
     }
-
-    advance(sim::kNoHorizon); // Drain the fleet.
-    for (auto &soc : socs)
-        soc->finishRun();
-
-    if (cfg.capture) {
-        bool any_sampled = false;
-        for (const auto &soc : socs) {
-            const auto &events = soc->trace().events();
-            cfg.capture->socEvents.insert(
-                cfg.capture->socEvents.end(), events.begin(),
-                events.end());
-            if (soc->sampler())
-                any_sampled = true;
-        }
-        if (any_sampled)
-            for (const auto &soc : socs)
-                cfg.capture->socSeries.push_back(
-                    soc->sampler() ? soc->sampler()->series()
-                                   : obs::Timeseries{});
-    }
-
-    // --- Aggregate ----------------------------------------------------
+    fleet.advance(sim::kNoHorizon); // Drain the fleet.
 
     ClusterResult res;
-    res.dispatcher = cfg.dispatcher;
-    res.policy = cfg.policy;
-    res.numSocs = static_cast<int>(n);
+    fleet.aggregate(res, dispatch_sec);
     res.numTasks = tasks.size();
-    res.epochs = engine.stats().epochs;
-    res.horizonStalls = engine.stats().horizonStalls;
-    res.meanSocsStepped = engine.stats().meanSocsStepped();
-    if (cfg.profile) {
-        engine.phaseTotals(res.phases.shardAdvanceSec,
-                           res.phases.barrierWaitSec);
-        res.phases.dispatchSec = dispatch_sec;
-    }
-    res.perSoc.resize(n);
-
-    std::vector<double> latencies, norm_latencies;
-    latencies.reserve(tasks.size());
-    norm_latencies.reserve(tasks.size());
-    std::size_t met = 0, high_total = 0, high_met = 0;
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const sim::Soc &soc = *socs[i];
-        const sim::SocConfig &soc_cfg = cfg.socs[i];
-        SocShare &share = res.perSoc[i];
-        share.tasks = placed[i];
-        share.metrics = metrics::computeMetrics(
-            soc.results(), [&](dnn::ModelId id) {
-                return exp::isolatedLatency(id, soc_cfg.numTiles,
-                                            soc_cfg);
-            });
-        share.dramBusyFraction = soc.stats().dramBusyFraction;
-        share.simSteps = soc.stats().quanta;
-        res.simSteps += share.simSteps;
-        res.stp += share.metrics.stp;
-
-        for (const auto &job : soc.results()) {
-            share.makespan = std::max(share.makespan, job.finish);
-            const auto latency =
-                static_cast<double>(job.latency());
-            latencies.push_back(latency);
-            const Cycles iso = exp::isolatedLatency(
-                dnn::modelIdFromName(job.spec.model->name()),
-                soc_cfg.numTiles, soc_cfg);
-            norm_latencies.push_back(latency /
-                                     static_cast<double>(iso));
-            if (job.slaMet())
-                ++met;
-            if (workload::priorityGroup(job.spec.priority) ==
-                workload::PriorityGroup::High) {
-                ++high_total;
-                if (job.slaMet())
-                    ++high_met;
-            }
-        }
-        res.makespan = std::max(res.makespan, share.makespan);
-    }
-
-    const std::size_t total = latencies.size();
-    if (total != tasks.size())
+    CompletionTally tally;
+    for (std::size_t i = 0; i < n; ++i)
+        for (const sim::JobResult &jr : fleet.slot(i).live().results())
+            tally.add(jr, fleet.slot(i).cfg);
+    if (tally.count() != tasks.size())
         panic("cluster lost tasks: %zu placed, %zu completed",
-              tasks.size(), total);
-    res.slaRate = total
-        ? static_cast<double>(met) / static_cast<double>(total)
-        : 0.0;
-    res.slaRateHigh = high_total
-        ? static_cast<double>(high_met) /
-            static_cast<double>(high_total)
-        : 0.0;
-    res.latency = percentileSummary(latencies);
-    res.normLatency = percentileSummary(norm_latencies);
-    if (res.makespan > 0)
-        res.goodput = static_cast<double>(met) * 1e9 /
-            static_cast<double>(res.makespan);
-
-    double mean_tasks = 0.0;
-    for (int p : placed)
-        mean_tasks += p;
-    mean_tasks /= static_cast<double>(n);
-    if (mean_tasks > 0.0) {
-        double var = 0.0;
-        for (int p : placed) {
-            const double d = static_cast<double>(p) - mean_tasks;
-            var += d * d;
-        }
-        res.balanceCv = std::sqrt(var / static_cast<double>(n)) /
-            mean_tasks;
-    }
+              tasks.size(), tally.count());
+    tally.fill(res);
     return res;
 }
 

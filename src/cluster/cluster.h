@@ -22,6 +22,13 @@
  * stream, seed) — and a 1-SoC cluster replays the single-SoC
  * scenario path bit-identically.
  *
+ * runCluster is the open-loop front end of the fleet core
+ * (cluster/fleet.h), which owns the slots, the engine, load
+ * snapshots, injection, harvest and the result aggregation; the
+ * closed-loop serving driver (serve/serve.h) is the other front end.
+ * This one only walks the fixed arrival stream, one advance per
+ * arrival.
+ *
  * Results come back as a `ClusterResult`: fleet-level SLA rate,
  * p50/p95/p99 end-to-end latency, total STP, a per-SoC utilization /
  * load-balance breakdown, and the per-SoC metrics themselves.

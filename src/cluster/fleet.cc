@@ -1,0 +1,259 @@
+#include "cluster/fleet.h"
+
+#include <algorithm>
+#include <cmath>
+
+#include "common/log.h"
+#include "exp/oracle.h"
+#include "exp/registry.h"
+#include "obs/capture.h"
+
+namespace moca::cluster {
+
+Fleet::Fleet(const ClusterConfig &cfg) : cfg_(cfg)
+{
+    const std::size_t n = cfg_.socs.size();
+    if (n == 0)
+        fatal("cluster needs at least one SoC");
+    slots_.resize(n);
+    std::vector<sim::Soc *> socs;
+    socs.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        FleetSlot &slot = slots_[i];
+        slot.cfg = cfg_.socs[i];
+        slot.cfg.socId = static_cast<int>(i);
+        addIncarnation(slot);
+        socs.push_back(&slot.live());
+    }
+    dispatcher_ = DispatcherRegistry::instance().make(
+        cfg_.dispatcher, static_cast<int>(n), cfg_.dispatcherSeed);
+    engine_ = std::make_unique<ParallelEngine>(std::move(socs),
+                                               cfg_.jobs, cfg_.profile);
+}
+
+void
+Fleet::addIncarnation(FleetSlot &slot)
+{
+    slot.policies.push_back(
+        exp::PolicyRegistry::instance().make(cfg_.policy, slot.cfg));
+    slot.socs.push_back(
+        std::make_unique<sim::Soc>(slot.cfg, *slot.policies.back()));
+    if (cfg_.capture)
+        slot.live().trace().enable();
+    slot.live().beginRun(cfg_.maxCycles);
+    slot.jobReq.emplace_back();
+    slot.harvested = 0;
+}
+
+void
+Fleet::advance(Cycles horizon)
+{
+    const Cycles begin = now_;
+    const EpochStats before = engine_->stats();
+    engine_->advanceFleet(horizon);
+    if (horizon == sim::kNoHorizon) {
+        for (const FleetSlot &slot : slots_)
+            now_ = std::max(now_, slot.live().now());
+    } else {
+        now_ = horizon;
+    }
+    if (!cfg_.capture)
+        return;
+    // Epoch/stall spans for the PDES timeline, delta'd from the
+    // engine's counters around this advance.
+    const EpochStats &after = engine_->stats();
+    if (after.epochs > before.epochs)
+        cfg_.capture->epochs.push_back(
+            {begin, now_, after.socsStepped - before.socsStepped,
+             false});
+    else if (after.horizonStalls > before.horizonStalls)
+        cfg_.capture->epochs.push_back({begin, now_, 0, true});
+}
+
+SocLoad
+Fleet::load(std::size_t i) const
+{
+    const FleetSlot &slot = slots_[i];
+    const sim::Soc &soc = slot.live();
+    SocLoad l;
+    l.socIdx = static_cast<int>(i);
+    l.now = soc.now();
+    l.waiting = static_cast<int>(soc.waitingCount());
+    l.running = static_cast<int>(soc.runningCount());
+    l.freeTiles = soc.freeTiles();
+    l.numTiles = soc.config().numTiles;
+    l.tasksAssigned = slot.placed;
+    l.outstandingMacs = slot.outstandingMacs;
+    return l;
+}
+
+std::size_t
+Fleet::place(const ClusterTask &task, const std::vector<SocLoad> &loads)
+{
+    const int k = dispatcher_->place(task, loads);
+    if (k < 0 || k >= static_cast<int>(loads.size()))
+        fatal("dispatcher '%s' placed task %d on candidate %d of %zu",
+              cfg_.dispatcher.c_str(), task.id, k, loads.size());
+    return static_cast<std::size_t>(
+        loads[static_cast<std::size_t>(k)].socIdx);
+}
+
+int
+Fleet::inject(std::size_t i, const ClusterTask &task, int req)
+{
+    FleetSlot &slot = slots_[i];
+    sim::Soc &soc = slot.live();
+    sim::JobSpec spec;
+    spec.id = static_cast<int>(soc.jobs().size());
+    spec.model = &dnn::getModel(task.model);
+    spec.dispatch = task.arrival;
+    spec.priority = task.priority;
+    spec.slaLatency = task.slaLatency;
+    soc.injectJob(spec);
+    engine_->noteInjected(i);
+    slot.placed++;
+    slot.outstandingMacs += static_cast<double>(spec.model->totalMacs());
+    slot.jobReq.back().push_back(req);
+    return spec.id;
+}
+
+void
+Fleet::freeze(std::size_t i)
+{
+    engine_->setActive(i, false);
+    slots_[i].outstandingMacs = 0.0;
+}
+
+void
+Fleet::reincarnate(std::size_t i)
+{
+    // The fresh SoC's clock starts at 0 with nothing queued, so it
+    // reports kNoEvent and costs the engine nothing until placed on.
+    FleetSlot &slot = slots_[i];
+    addIncarnation(slot);
+    engine_->replaceSoc(i, &slot.live());
+    engine_->setActive(i, true);
+}
+
+void
+Fleet::aggregate(ClusterResult &out, double dispatch_sec)
+{
+    const std::size_t n = slots_.size();
+    out.dispatcher = cfg_.dispatcher;
+    out.policy = cfg_.policy;
+    out.numSocs = static_cast<int>(n);
+    out.epochs = engine_->stats().epochs;
+    out.horizonStalls = engine_->stats().horizonStalls;
+    out.meanSocsStepped = engine_->stats().meanSocsStepped();
+    if (cfg_.profile) {
+        engine_->phaseTotals(out.phases.shardAdvanceSec,
+                             out.phases.barrierWaitSec);
+        out.phases.dispatchSec = dispatch_sec;
+    }
+    out.perSoc.resize(n);
+
+    bool any_sampled = false;
+    for (std::size_t i = 0; i < n; ++i) {
+        const FleetSlot &slot = slots_[i];
+        SocShare &share = out.perSoc[i];
+        share.tasks = slot.placed;
+
+        // Every completion ran on real fleet capacity, whichever
+        // incarnation produced it (and orphan or not).
+        std::vector<sim::JobResult> all;
+        double busy_weighted = 0.0;
+        Cycles cycles = 0;
+        for (const auto &soc : slot.socs) {
+            soc->finishRun();
+            all.insert(all.end(), soc->results().begin(),
+                       soc->results().end());
+            share.simSteps += soc->stats().quanta;
+            busy_weighted += soc->stats().dramBusyFraction *
+                static_cast<double>(soc->stats().cyclesSimulated);
+            cycles += soc->stats().cyclesSimulated;
+            if (cfg_.capture) {
+                // Every incarnation's events carry the slot's socId;
+                // the exporter merges them onto one slot track.
+                const auto &events = soc->trace().events();
+                cfg_.capture->socEvents.insert(
+                    cfg_.capture->socEvents.end(), events.begin(),
+                    events.end());
+            }
+        }
+        if (slot.live().sampler())
+            any_sampled = true;
+        share.metrics = metrics::computeMetrics(
+            all, [&](dnn::ModelId id) {
+                return exp::isolatedLatency(id, slot.cfg.numTiles,
+                                            slot.cfg);
+            });
+        // A time-weighted mean over incarnations; a single one
+        // reports its own fraction exactly.
+        if (slot.socs.size() == 1)
+            share.dramBusyFraction = slot.live().stats().dramBusyFraction;
+        else if (cycles > 0)
+            share.dramBusyFraction =
+                busy_weighted / static_cast<double>(cycles);
+        for (const auto &jr : all)
+            share.makespan = std::max(share.makespan, jr.finish);
+        out.simSteps += share.simSteps;
+        out.stp += share.metrics.stp;
+        out.makespan = std::max(out.makespan, share.makespan);
+    }
+    if (cfg_.capture && any_sampled)
+        for (const FleetSlot &slot : slots_)
+            cfg_.capture->socSeries.push_back(
+                slot.live().sampler() ? slot.live().sampler()->series()
+                                      : obs::Timeseries{});
+
+    double mean_tasks = 0.0;
+    for (const FleetSlot &slot : slots_)
+        mean_tasks += slot.placed;
+    mean_tasks /= static_cast<double>(n);
+    if (mean_tasks > 0.0) {
+        double var = 0.0;
+        for (const FleetSlot &slot : slots_) {
+            const double d = static_cast<double>(slot.placed) - mean_tasks;
+            var += d * d;
+        }
+        out.balanceCv =
+            std::sqrt(var / static_cast<double>(n)) / mean_tasks;
+    }
+}
+
+void
+CompletionTally::add(const sim::JobResult &jr, const sim::SocConfig &soc)
+{
+    const auto latency = static_cast<double>(jr.latency());
+    latencies_.push_back(latency);
+    const Cycles iso = exp::isolatedLatency(
+        dnn::modelIdFromName(jr.spec.model->name()), soc.numTiles, soc);
+    normLatencies_.push_back(latency / static_cast<double>(iso));
+    if (jr.slaMet())
+        ++met_;
+    if (workload::priorityGroup(jr.spec.priority) ==
+        workload::PriorityGroup::High) {
+        ++high_;
+        if (jr.slaMet())
+            ++highMet_;
+    }
+}
+
+void
+CompletionTally::fill(ClusterResult &out) const
+{
+    const std::size_t total = latencies_.size();
+    out.slaRate = total
+        ? static_cast<double>(met_) / static_cast<double>(total)
+        : 0.0;
+    out.slaRateHigh = high_
+        ? static_cast<double>(highMet_) / static_cast<double>(high_)
+        : 0.0;
+    out.latency = percentileSummary(latencies_);
+    out.normLatency = percentileSummary(normLatencies_);
+    if (out.makespan > 0)
+        out.goodput = static_cast<double>(met_) * 1e9 /
+            static_cast<double>(out.makespan);
+}
+
+} // namespace moca::cluster

@@ -53,7 +53,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -109,18 +108,12 @@ class ParallelEngine
      *        (not owned; must outlive the engine).
      * @param jobs worker count; shard count is min(jobs, socs.size())
      *        with contiguous index blocks.  Fatal when jobs < 1.
-     * @param on_advanced optional per-SoC hook run by the owning
-     *        worker right after the SoC reaches the epoch horizon
-     *        (e.g. harvesting completed-job feedback).  Called with
-     *        the SoC index; must be safe to call concurrently for
-     *        *different* indices.
      * @param profile accumulate per-worker shard-advance and
      *        barrier-wait wall time (via the common/walltime.h shim;
      *        see phaseTotals()).  Purely diagnostic — off by default
      *        so the hot path pays nothing.
      */
     ParallelEngine(std::vector<sim::Soc *> socs, int jobs,
-                   std::function<void(std::size_t)> on_advanced = {},
                    bool profile = false);
     ~ParallelEngine();
 
@@ -135,9 +128,9 @@ class ParallelEngine
 
     /**
      * One conservative epoch: advance every SoC to `horizon`
-     * (sim::kNoHorizon drains the fleet to completion), run the
-     * on_advanced hook per SoC, and synchronize.  Returns after the
-     * barrier, so the caller observes every shard's writes; skipped
+     * (sim::kNoHorizon drains the fleet to completion) and
+     * synchronize.  Returns after the barrier, so the caller observes
+     * every shard's writes (completions included); skipped
      * entirely (a horizon stall) when fleetNextEvent() >= horizon.
      */
     void advanceFleet(Cycles horizon);
@@ -219,7 +212,6 @@ class ParallelEngine
     /** Per-slot activation mask (see setActive); char, not bool, so
      *  workers read plain bytes their own shard never writes. */
     std::vector<char> active_;
-    std::function<void(std::size_t)> on_advanced_;
     std::vector<Shard> shards_;
     std::vector<std::thread> workers_;
 

@@ -1,18 +1,15 @@
 #include "serve/serve.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <queue>
 #include <vector>
 
-#include "cluster/parallel.h"
+#include "cluster/fleet.h"
 #include "common/log.h"
 #include "common/walltime.h"
 #include "exp/oracle.h"
-#include "exp/registry.h"
 #include "obs/capture.h"
-#include "sim/soc.h"
 
 namespace moca::serve {
 
@@ -67,27 +64,6 @@ enum class SlotState
     Failed,   ///< Frozen in the engine; queue lost.
 };
 
-/** One fleet slot and its SoC incarnations (failures swap in fresh
- *  SoCs; old incarnations stay frozen but keep their results). */
-struct Slot
-{
-    SlotState state = SlotState::Up;
-    std::vector<std::unique_ptr<sim::Policy>> policies;
-    std::vector<std::unique_ptr<sim::Soc>> socs;
-    /** Per incarnation: dense job id -> request id. */
-    std::vector<std::vector<int>> jobReq;
-    /** Per incarnation: harvested-results cursor. */
-    std::vector<std::size_t> seen;
-    int placed = 0;
-    double outstandingMacs = 0.0;
-
-    sim::Soc &live() { return *socs.back(); }
-    int incarnation() const
-    {
-        return static_cast<int>(socs.size()) - 1;
-    }
-};
-
 /** Front-end progress of one request. */
 struct ReqProgress
 {
@@ -115,6 +91,24 @@ struct ClientState
     bool issueScheduled = false;
 };
 
+/** The homogeneous fleet a serving run drives. */
+cluster::ClusterConfig
+fleetConfig(const ServeConfig &cfg)
+{
+    if (cfg.numSocs < 1)
+        fatal("serving fleet needs at least one SoC (got %d)",
+              cfg.numSocs);
+    cluster::ClusterConfig cc =
+        cluster::ClusterConfig::homogeneous(cfg.numSocs, cfg.soc);
+    cc.policy = cfg.policy;
+    cc.dispatcher = cfg.dispatcher;
+    cc.dispatcherSeed = cfg.dispatcherSeed;
+    cc.jobs = cfg.jobs;
+    cc.profile = cfg.profile;
+    cc.capture = cfg.capture;
+    return cc;
+}
+
 class ServeDriver
 {
   public:
@@ -125,29 +119,23 @@ class ServeDriver
     const ServeConfig &cfg_;
     Cycles hardCap_;
 
-    std::function<Cycles(dnn::ModelId)> isoCal_; ///< Single-tile.
-    std::function<Cycles(dnn::ModelId)> iso_;    ///< Full-SoC.
-    std::unique_ptr<ClientPool> pool_; ///< Closed loop only.
+    cluster::Fleet fleet_;
+    /** Slot lifecycle, indexed like the fleet's slots. */
+    std::vector<SlotState> state_;
+
+    /** The pre-generated request population. */
+    ClientPool pool_;
     std::unique_ptr<AdmissionPolicy> admission_;
-    std::unique_ptr<cluster::Dispatcher> dispatcher_;
     Autoscaler autoscaler_;
     FailureInjector injector_;
 
-    /** The request population (attributes + per-attempt timeout);
-     *  closed loop from the pool, open loop from the synthesizer. */
-    std::vector<cluster::ClusterTask> reqTasks_;
-    std::vector<Cycles> reqTimeout_;
     std::vector<ReqProgress> progress_;
     std::vector<ClientState> clients_;
-
-    std::vector<Slot> slots_;
-    std::unique_ptr<cluster::ParallelEngine> engine_;
 
     std::priority_queue<Event, std::vector<Event>, EventLater>
         queue_;
     std::uint64_t nextSeq_ = 0;
 
-    Cycles now_ = 0;
     std::uint64_t resolvedCount_ = 0;
 
     int upCount_ = 0;
@@ -160,10 +148,9 @@ class ServeDriver
 
     ServeResult res_;
 
-    // Response-based fleet samples (client-observed only).
-    std::vector<double> respLatency_, respNormLatency_;
+    /** Fleet aggregates over client-observed responses only. */
+    cluster::CompletionTally responses_;
     std::vector<double> clientLatency_;
-    std::uint64_t respMet_ = 0, respHigh_ = 0, respHighMet_ = 0;
 
     void push(Cycles at, EvKind kind, int req = -1, int slot = -1,
               std::uint64_t token = 0)
@@ -171,11 +158,13 @@ class ServeDriver
         queue_.push(Event{at, kind, nextSeq_++, req, slot, token});
     }
 
+    Cycles now() const { return fleet_.now(); }
+
     void noteUpChange(int delta)
     {
-        upIntegral_ += static_cast<double>(now_ - lastUpChange_) *
+        upIntegral_ += static_cast<double>(now() - lastUpChange_) *
             static_cast<double>(upCount_);
-        lastUpChange_ = now_;
+        lastUpChange_ = now();
         upCount_ += delta;
     }
 
@@ -184,34 +173,26 @@ class ServeDriver
     void captureEvent(sim::TraceEventKind kind, int id)
     {
         if (cfg_.capture)
-            cfg_.capture->frontend.record(now_, kind, id);
-    }
-
-    /** Per-slot SoC configuration: the slot index becomes the SoC's
-     *  trace/telemetry identity. */
-    sim::SocConfig socCfgFor(std::size_t slot_idx) const
-    {
-        sim::SocConfig soc_cfg = cfg_.soc;
-        soc_cfg.socId = static_cast<int>(slot_idx);
-        return soc_cfg;
+            cfg_.capture->frontend.record(now(), kind, id);
     }
 
     Cycles chunkTarget(Cycles limit) const;
     Cycles deferDelay() const
     {
         // Deferred/capacity-held requests re-try at the control
-        // cadence; with an unbounded quantum (open-loop replay) the
-        // scheduler period stands in as the polling interval.
+        // cadence; with an unbounded quantum the scheduler period
+        // stands in as the polling interval.
         return cfg_.controlQuantum > 0 ? cfg_.controlQuantum
                                        : cfg_.soc.schedPeriod;
     }
     void advanceTo(Cycles target);
-    void harvest();
 
     std::vector<cluster::SocLoad> upLoads() const;
     void maybeScheduleIssue(int client, Cycles trigger);
     void handleIssue(int req);
     void placeRequest(int req, const std::vector<cluster::SocLoad> &up);
+    void onCompletion(std::size_t slot_idx, int req,
+                      const sim::JobResult &jr);
     void failAttempt(int req);
     void resolveRequest(int req, bool success, Cycles finish);
     void handleTimeout(int req, std::uint64_t token);
@@ -226,11 +207,17 @@ ServeDriver::ServeDriver(const ServeConfig &cfg)
     : cfg_(cfg),
       hardCap_(cfg.maxCycles != 0 ? cfg.maxCycles
                                   : cfg.soc.maxCycles),
+      fleet_(fleetConfig(cfg)),
+      state_(static_cast<std::size_t>(cfg.numSocs), SlotState::Up),
+      // Workload calibration (SLA targets, think time) uses the
+      // *single-tile* isolated latency, like the open-loop
+      // synthesizer; the fleet normalizes metrics by the full SoC.
+      pool_(cfg.clients,
+            [&cfg](dnn::ModelId id) {
+                return exp::isolatedLatency(id, 1, cfg.soc);
+            }),
       autoscaler_(cfg.autoscaler), injector_(cfg.failures)
 {
-    if (cfg_.numSocs < 1)
-        fatal("serving fleet needs at least one SoC (got %d)",
-              cfg_.numSocs);
     if (cfg_.autoscaler.enabled &&
         cfg_.autoscaler.maxSocs > cfg_.numSocs)
         fatal("autoscaler maxSocs %d exceeds the fleet size %d",
@@ -240,78 +227,15 @@ ServeDriver::ServeDriver(const ServeConfig &cfg)
         fatal("autoscaler minSocs %d exceeds the fleet size %d",
               cfg_.autoscaler.minSocs, cfg_.numSocs);
 
-    // Two oracle flavors, matching the open-loop cluster path:
-    // workload calibration (SLA targets, arrival spacing, think
-    // time) uses the *single-tile* isolated latency, while metric
-    // normalization uses the *full-SoC* isolated latency.
-    isoCal_ = [this](dnn::ModelId id) {
-        return exp::isolatedLatency(id, 1, cfg_.soc);
-    };
-    iso_ = [this](dnn::ModelId id) {
-        return exp::isolatedLatency(id, cfg_.soc.numTiles, cfg_.soc);
-    };
-
     admission_ = AdmissionRegistry::instance().make(cfg_.admission);
-    dispatcher_ = cluster::DispatcherRegistry::instance().make(
-        cfg_.dispatcher, cfg_.numSocs, cfg_.dispatcherSeed);
-
-    // The request population: pre-generated, policy-independent.
-    if (cfg_.openLoop) {
-        cluster::SynthConfig synth = cfg_.synth;
-        synth.fleetTiles = cfg_.numSocs * cfg_.soc.numTiles;
-        reqTasks_ = cluster::synthesizeTasks(synth, isoCal_);
-        reqTimeout_.assign(reqTasks_.size(), 0);
-        for (std::size_t i = 0; i < reqTasks_.size(); ++i) {
-            // Dense ids double as queue indices; synthesizeTasks
-            // already assigns them in arrival order.
-            push(reqTasks_[i].arrival, EvKind::Issue,
-                 static_cast<int>(i));
-        }
-    } else {
-        pool_ = std::make_unique<ClientPool>(cfg_.clients, isoCal_);
-        reqTasks_.reserve(
-            static_cast<std::size_t>(pool_->totalRequests()));
-        reqTimeout_.reserve(reqTasks_.capacity());
-        for (int i = 0; i < pool_->totalRequests(); ++i) {
-            reqTasks_.push_back(pool_->request(i).task);
-            reqTimeout_.push_back(pool_->request(i).timeout);
-        }
-        clients_.resize(
-            static_cast<std::size_t>(pool_->numClients()));
-    }
-    progress_.resize(reqTasks_.size());
-
-    // The fleet: every slot starts Up with one incarnation.
-    slots_.resize(static_cast<std::size_t>(cfg_.numSocs));
-    std::vector<sim::Soc *> fleet;
-    fleet.reserve(slots_.size());
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        Slot &slot = slots_[i];
-        const sim::SocConfig soc_cfg = socCfgFor(i);
-        slot.policies.push_back(exp::PolicyRegistry::instance().make(
-            cfg_.policy, soc_cfg));
-        slot.socs.push_back(std::make_unique<sim::Soc>(
-            soc_cfg, *slot.policies.back()));
-        if (cfg_.capture)
-            slot.socs.back()->trace().enable();
-        slot.socs.back()->beginRun(cfg_.soc.maxCycles);
-        slot.jobReq.emplace_back();
-        slot.seen.push_back(0);
-        fleet.push_back(slot.socs.back().get());
-    }
+    progress_.resize(static_cast<std::size_t>(pool_.totalRequests()));
+    clients_.resize(static_cast<std::size_t>(pool_.numClients()));
     upCount_ = cfg_.numSocs;
     if (cfg_.capture)
         cfg_.capture->frontend.enable();
 
-    // Completion *reactions* must run on the coordinator, so the
-    // engine gets no per-advance callback; harvest() walks the slots
-    // in index order after every epoch instead.
-    engine_ = std::make_unique<cluster::ParallelEngine>(
-        std::move(fleet), cfg_.jobs, nullptr, cfg_.profile);
-
-    if (!cfg_.openLoop)
-        for (int c = 0; c < pool_->numClients(); ++c)
-            maybeScheduleIssue(c, 0);
+    for (int c = 0; c < pool_.numClients(); ++c)
+        maybeScheduleIssue(c, 0);
     if (injector_.enabled())
         push(injector_.firstFailure(), EvKind::Fail);
     if (cfg_.autoscaler.enabled)
@@ -323,125 +247,61 @@ ServeDriver::chunkTarget(Cycles limit) const
 {
     if (cfg_.controlQuantum == 0)
         return limit;
-    const Cycles headroom = sim::kNoHorizon - now_;
+    const Cycles headroom = sim::kNoHorizon - now();
     if (cfg_.controlQuantum >= headroom)
         return limit;
-    return std::min(limit, now_ + cfg_.controlQuantum);
+    return std::min(limit, now() + cfg_.controlQuantum);
 }
 
 void
 ServeDriver::advanceTo(Cycles target)
 {
-    const Cycles begin = now_;
-    const cluster::EpochStats before = engine_->stats();
-    engine_->advanceFleet(target);
-    if (target == sim::kNoHorizon) {
-        // Unbounded drain: the front-end clock lands on the latest
-        // live-SoC clock, so post-drain reactions get sane cycles.
-        Cycles latest = now_;
-        for (Slot &slot : slots_)
-            latest = std::max(latest, slot.live().now());
-        now_ = latest;
-    } else {
-        now_ = target;
-    }
-    if (cfg_.capture) {
-        // Epoch/stall spans on the front-end clock, delta'd from the
-        // engine's counters (see the cluster-run equivalent).
-        const cluster::EpochStats &after = engine_->stats();
-        if (after.epochs > before.epochs)
-            cfg_.capture->epochs.push_back(
-                {begin, now_,
-                 after.socsStepped - before.socsStepped, false});
-        else if (after.horizonStalls > before.horizonStalls)
-            cfg_.capture->epochs.push_back({begin, now_, 0, true});
-    }
-    harvest();
+    fleet_.advance(target);
+    // Completions are consumed in slot-index order from each slot's
+    // live incarnation, so reaction order is a pure function of
+    // fleet state — never of PDES worker timing.
+    fleet_.harvest([this](std::size_t slot_idx, int req,
+                          const sim::JobResult &jr) {
+        onCompletion(slot_idx, req, jr);
+    });
 }
 
 void
-ServeDriver::harvest()
+ServeDriver::onCompletion(std::size_t slot_idx, int req,
+                          const sim::JobResult &jr)
 {
-    // Completions are consumed in slot-index order from each slot's
-    // *live* incarnation (frozen pre-failure incarnations can never
-    // produce new results), so reaction order is a pure function of
-    // fleet state — never of PDES worker timing.
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        Slot &slot = slots_[i];
-        const auto &results = slot.live().results();
-        const auto incar =
-            static_cast<std::size_t>(slot.incarnation());
-        for (std::size_t r = slot.seen[incar]; r < results.size();
-             ++r) {
-            const sim::JobResult &jr = results[r];
-            slot.outstandingMacs -=
-                static_cast<double>(jr.spec.model->totalMacs());
-            const int req =
-                slot.jobReq[incar][static_cast<std::size_t>(
-                    jr.spec.id)];
-            ReqProgress &p =
-                progress_[static_cast<std::size_t>(req)];
-            const bool current = p.inFlight && !p.resolved &&
-                p.slot == static_cast<int>(i) &&
-                p.incarnation == static_cast<int>(incar) &&
-                p.job == jr.spec.id;
-            if (!current) {
-                // A completion nobody is waiting for: the client
-                // timed out (or the attempt was requeued) before the
-                // fleet delivered.  Wasted work, not goodput.
-                res_.orphans++;
-                continue;
-            }
-            p.inFlight = false;
-            res_.responses++;
-            const auto latency = static_cast<double>(jr.latency());
-            respLatency_.push_back(latency);
-            respNormLatency_.push_back(
-                latency /
-                static_cast<double>(iso_(reqTasks_[static_cast<
-                                             std::size_t>(req)]
-                                             .model)));
-            if (jr.slaMet())
-                ++respMet_;
-            if (workload::priorityGroup(jr.spec.priority) ==
-                workload::PriorityGroup::High) {
-                ++respHigh_;
-                if (jr.slaMet())
-                    ++respHighMet_;
-            }
-            if (jr.spec.slaLatency > 0)
-                autoscaler_.recordResponse(
-                    latency /
-                    static_cast<double>(jr.spec.slaLatency));
-            clientLatency_.push_back(static_cast<double>(
-                jr.finish - p.firstIssue));
-            resolveRequest(req, true, jr.finish);
-        }
-        slot.seen[incar] = results.size();
+    ReqProgress &p = progress_[static_cast<std::size_t>(req)];
+    const bool current = p.inFlight && !p.resolved &&
+        p.slot == static_cast<int>(slot_idx) &&
+        p.incarnation == fleet_.slot(slot_idx).incarnation() &&
+        p.job == jr.spec.id;
+    if (!current) {
+        // A completion nobody is waiting for: the client timed out
+        // (or the attempt was requeued) before the fleet delivered.
+        // Wasted work, not goodput.
+        res_.orphans++;
+        return;
     }
+    p.inFlight = false;
+    res_.responses++;
+    responses_.add(jr, fleet_.slot(slot_idx).cfg);
+    if (jr.spec.slaLatency > 0)
+        autoscaler_.recordResponse(
+            static_cast<double>(jr.latency()) /
+            static_cast<double>(jr.spec.slaLatency));
+    clientLatency_.push_back(
+        static_cast<double>(jr.finish - p.firstIssue));
+    resolveRequest(req, true, jr.finish);
 }
 
 std::vector<cluster::SocLoad>
 ServeDriver::upLoads() const
 {
     std::vector<cluster::SocLoad> loads;
-    loads.reserve(slots_.size());
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        const Slot &slot = slots_[i];
-        if (slot.state != SlotState::Up)
-            continue;
-        const sim::Soc &soc = *slot.socs.back();
-        cluster::SocLoad l;
-        l.socIdx = static_cast<int>(i);
-        l.now = soc.now();
-        l.waiting = static_cast<int>(soc.waitingCount());
-        l.running = static_cast<int>(soc.runningCount());
-        l.freeTiles = soc.freeTiles();
-        l.numTiles = soc.config().numTiles;
-        l.tasksAssigned = slot.placed;
-        l.outstandingMacs = slot.outstandingMacs;
-        loads.push_back(l);
-    }
+    loads.reserve(state_.size());
+    for (std::size_t i = 0; i < state_.size(); ++i)
+        if (state_[i] == SlotState::Up)
+            loads.push_back(fleet_.load(i));
     return loads;
 }
 
@@ -456,7 +316,7 @@ ServeDriver::maybeScheduleIssue(int client, Cycles trigger)
     const int req = client * cfg_.clients.requestsPerClient +
         c.nextSeq;
     c.issueScheduled = true;
-    push(trigger + pool_->request(req).think, EvKind::Issue, req);
+    push(trigger + pool_.request(req).think, EvKind::Issue, req);
 }
 
 void
@@ -467,19 +327,16 @@ ServeDriver::handleIssue(int req)
         return;
     if (!p.issued) {
         p.issued = true;
-        p.firstIssue = now_;
+        p.firstIssue = now();
         res_.requests++;
-        if (!cfg_.openLoop) {
-            const ClientRequest &cr = pool_->request(req);
-            ClientState &c =
-                clients_[static_cast<std::size_t>(cr.client)];
-            c.issueScheduled = false;
-            c.nextSeq++;
-            c.inFlight++;
-            // The window may still have room: the next request
-            // thinks from this issue, not from a completion.
-            maybeScheduleIssue(cr.client, now_);
-        }
+        const ClientRequest &cr = pool_.request(req);
+        ClientState &c = clients_[static_cast<std::size_t>(cr.client)];
+        c.issueScheduled = false;
+        c.nextSeq++;
+        c.inFlight++;
+        // The window may still have room: the next request thinks
+        // from this issue, not from a completion.
+        maybeScheduleIssue(cr.client, now());
     }
 
     const std::vector<cluster::SocLoad> up = upLoads();
@@ -489,12 +346,11 @@ ServeDriver::handleIssue(int req)
         // control tick.
         res_.deferrals++;
         captureEvent(sim::TraceEventKind::AdmissionDefer, req);
-        push(now_ + deferDelay(), EvKind::Issue, req);
+        push(now() + deferDelay(), EvKind::Issue, req);
         return;
     }
 
-    switch (admission_->decide(
-        reqTasks_[static_cast<std::size_t>(req)], now_, up)) {
+    switch (admission_->decide(pool_.request(req).task, now(), up)) {
       case AdmissionDecision::Admit:
         placeRequest(req, up);
         break;
@@ -506,7 +362,7 @@ ServeDriver::handleIssue(int req)
       case AdmissionDecision::Defer:
         res_.deferrals++;
         captureEvent(sim::TraceEventKind::AdmissionDefer, req);
-        push(now_ + deferDelay(), EvKind::Issue, req);
+        push(now() + deferDelay(), EvKind::Issue, req);
         break;
     }
 }
@@ -516,43 +372,21 @@ ServeDriver::placeRequest(int req,
                           const std::vector<cluster::SocLoad> &up)
 {
     ReqProgress &p = progress_[static_cast<std::size_t>(req)];
-    cluster::ClusterTask task =
-        reqTasks_[static_cast<std::size_t>(req)];
-    task.arrival = now_;
-
-    const int k = dispatcher_->place(task, up);
-    if (k < 0 || k >= static_cast<int>(up.size()))
-        fatal("dispatcher '%s' placed request %d on Up slot %d of "
-              "%zu", cfg_.dispatcher.c_str(), req, k, up.size());
-    const auto slot_idx = static_cast<std::size_t>(
-        up[static_cast<std::size_t>(k)].socIdx);
-    Slot &slot = slots_[slot_idx];
-    sim::Soc &soc = slot.live();
-
-    sim::JobSpec spec;
-    spec.id = static_cast<int>(soc.jobs().size());
-    spec.model = &dnn::getModel(task.model);
-    spec.dispatch = now_;
-    spec.priority = task.priority;
-    spec.slaLatency = task.slaLatency;
-    soc.injectJob(spec);
-    engine_->noteInjected(slot_idx);
-    slot.placed++;
-    slot.outstandingMacs +=
-        static_cast<double>(spec.model->totalMacs());
-    slot.jobReq.back().push_back(req);
+    cluster::ClusterTask task = pool_.request(req).task;
+    task.arrival = now();
+    const std::size_t slot_idx = fleet_.place(task, up);
+    const int job = fleet_.inject(slot_idx, task, req);
 
     res_.attempts++;
     p.token++;
     p.inFlight = true;
     p.slot = static_cast<int>(slot_idx);
-    p.incarnation = slot.incarnation();
-    p.job = spec.id;
+    p.incarnation = fleet_.slot(slot_idx).incarnation();
+    p.job = job;
 
-    const Cycles timeout =
-        reqTimeout_[static_cast<std::size_t>(req)];
+    const Cycles timeout = pool_.request(req).timeout;
     if (timeout > 0)
-        push(now_ + timeout, EvKind::Timeout, req, -1, p.token);
+        push(now() + timeout, EvKind::Timeout, req, -1, p.token);
 }
 
 void
@@ -561,14 +395,13 @@ ServeDriver::failAttempt(int req)
     ReqProgress &p = progress_[static_cast<std::size_t>(req)];
     p.token++; // Invalidate any pending timeout of the old attempt.
     p.inFlight = false;
-    if (!cfg_.openLoop && p.retriesUsed < cfg_.clients.maxRetries) {
+    if (p.retriesUsed < cfg_.clients.maxRetries) {
         p.retriesUsed++;
         res_.retries++;
-        push(now_ + pool_->backoff(p.retriesUsed), EvKind::Issue,
-             req);
+        push(now() + pool_.backoff(p.retriesUsed), EvKind::Issue, req);
         return;
     }
-    resolveRequest(req, false, now_);
+    resolveRequest(req, false, now());
 }
 
 void
@@ -584,16 +417,13 @@ ServeDriver::resolveRequest(int req, bool success, Cycles finish)
     if (!success)
         res_.giveUps++;
     res_.endCycle = std::max(res_.endCycle, finish);
-    if (!cfg_.openLoop) {
-        const ClientRequest &cr = pool_->request(req);
-        ClientState &c =
-            clients_[static_cast<std::size_t>(cr.client)];
-        c.inFlight--;
-        // The client thinks from the moment it observed the
-        // response; reactions discovered at an epoch boundary never
-        // schedule into the past.
-        maybeScheduleIssue(cr.client, std::max(now_, finish));
-    }
+    const ClientRequest &cr = pool_.request(req);
+    ClientState &c = clients_[static_cast<std::size_t>(cr.client)];
+    c.inFlight--;
+    // The client thinks from the moment it observed the response;
+    // reactions discovered at an epoch boundary never schedule into
+    // the past.
+    maybeScheduleIssue(cr.client, std::max(now(), finish));
 }
 
 void
@@ -614,25 +444,25 @@ ServeDriver::handleFail()
     // Victims come from the powered slots (Up or Draining), chosen
     // by the injector's dedicated stream; the minUp guard may veto.
     std::vector<int> candidates;
-    for (std::size_t i = 0; i < slots_.size(); ++i)
-        if (slots_[i].state != SlotState::Failed)
+    for (std::size_t i = 0; i < state_.size(); ++i)
+        if (state_[i] != SlotState::Failed)
             candidates.push_back(static_cast<int>(i));
     const FailureInjector::FailPlan plan = injector_.plan(
-        now_, static_cast<int>(candidates.size()));
+        now(), static_cast<int>(candidates.size()));
     push(plan.nextFailAt, EvKind::Fail);
     if (plan.victim < 0)
         return;
 
     const auto idx = static_cast<std::size_t>(
         candidates[static_cast<std::size_t>(plan.victim)]);
-    Slot &slot = slots_[idx];
+    const cluster::FleetSlot &slot = fleet_.slot(idx);
     res_.failEvents++;
     captureEvent(sim::TraceEventKind::SocFail,
                  static_cast<int>(idx));
-    if (slot.state == SlotState::Up)
+    if (state_[idx] == SlotState::Up)
         noteUpChange(-1);
-    slot.state = SlotState::Failed;
-    engine_->setActive(idx, false);
+    state_[idx] = SlotState::Failed;
+    fleet_.freeze(idx);
     push(plan.recoverAt, EvKind::Recover, -1,
          static_cast<int>(idx));
 
@@ -641,7 +471,6 @@ ServeDriver::handleFail()
     // attempts is the configured in-flight policy.
     const sim::Soc &soc = slot.live();
     res_.lostJobs += soc.jobs().size() - soc.results().size();
-    slot.outstandingMacs = 0.0;
     const auto &job_req = slot.jobReq.back();
     for (std::size_t j = 0; j < job_req.size(); ++j) {
         ReqProgress &p =
@@ -666,7 +495,7 @@ ServeDriver::handleFail()
                 p.requeues++;
                 res_.requeued++;
                 p.token++;
-                push(now_, EvKind::Issue, job_req[j]);
+                push(now(), EvKind::Issue, job_req[j]);
             } else {
                 failAttempt(job_req[j]);
             }
@@ -675,8 +504,7 @@ ServeDriver::handleFail()
             // The client discovers the loss via its timeout; with
             // timeouts disabled nobody ever would, so the attempt
             // fails (and retries/burns budget) immediately.
-            if (reqTimeout_[static_cast<std::size_t>(
-                    job_req[j])] == 0)
+            if (pool_.request(job_req[j]).timeout == 0)
                 failAttempt(job_req[j]);
             break;
         }
@@ -686,51 +514,38 @@ ServeDriver::handleFail()
 void
 ServeDriver::handleRecover(int slot_idx)
 {
-    Slot &slot = slots_[static_cast<std::size_t>(slot_idx)];
-    if (slot.state != SlotState::Failed)
+    const auto idx = static_cast<std::size_t>(slot_idx);
+    if (state_[idx] != SlotState::Failed)
         panic("recovering slot %d that is not Failed", slot_idx);
     res_.recoverEvents++;
     captureEvent(sim::TraceEventKind::SocRecover, slot_idx);
     // Reboot: a fresh SoC (and fresh policy state) joins the slot.
-    // Its clock starts at 0 with nothing queued, so it reports
-    // kNoEvent and costs the engine nothing until placed on.
-    const sim::SocConfig soc_cfg =
-        socCfgFor(static_cast<std::size_t>(slot_idx));
-    slot.policies.push_back(
-        exp::PolicyRegistry::instance().make(cfg_.policy, soc_cfg));
-    slot.socs.push_back(std::make_unique<sim::Soc>(
-        soc_cfg, *slot.policies.back()));
-    if (cfg_.capture)
-        slot.socs.back()->trace().enable();
-    slot.socs.back()->beginRun(cfg_.soc.maxCycles);
-    slot.jobReq.emplace_back();
-    slot.seen.push_back(0);
-    engine_->replaceSoc(static_cast<std::size_t>(slot_idx),
-                        slot.socs.back().get());
-    engine_->setActive(static_cast<std::size_t>(slot_idx), true);
-    slot.state = SlotState::Up;
+    fleet_.reincarnate(idx);
+    state_[idx] = SlotState::Up;
     noteUpChange(+1);
 }
 
 void
 ServeDriver::handleScaleTick()
 {
-    push(now_ + cfg_.autoscaler.interval, EvKind::ScaleTick);
+    push(now() + cfg_.autoscaler.interval, EvKind::ScaleTick);
     long outstanding = 0;
-    for (const Slot &slot : slots_)
-        if (slot.state == SlotState::Up)
-            outstanding += static_cast<long>(
-                slot.socs.back()->waitingCount() +
-                slot.socs.back()->runningCount());
+    for (std::size_t i = 0; i < state_.size(); ++i) {
+        if (state_[i] != SlotState::Up)
+            continue;
+        const sim::Soc &soc = fleet_.slot(i).live();
+        outstanding +=
+            static_cast<long>(soc.waitingCount() + soc.runningCount());
+    }
     switch (autoscaler_.evaluate(upCount_, outstanding)) {
       case ScaleAction::None:
         break;
       case ScaleAction::Up:
         // Lowest-index Draining slot rejoins (a drained SoC keeps
         // its finished history and simply starts accepting again).
-        for (std::size_t i = 0; i < slots_.size(); ++i) {
-            if (slots_[i].state == SlotState::Draining) {
-                slots_[i].state = SlotState::Up;
+        for (std::size_t i = 0; i < state_.size(); ++i) {
+            if (state_[i] == SlotState::Draining) {
+                state_[i] = SlotState::Up;
                 res_.scaleUps++;
                 captureEvent(sim::TraceEventKind::ScaleUp,
                              static_cast<int>(i));
@@ -742,9 +557,9 @@ ServeDriver::handleScaleTick()
       case ScaleAction::Down:
         // Highest-index Up slot drains: placements stop, running
         // work finishes — a scaling decision never loses a task.
-        for (std::size_t i = slots_.size(); i-- > 0;) {
-            if (slots_[i].state == SlotState::Up) {
-                slots_[i].state = SlotState::Draining;
+        for (std::size_t i = state_.size(); i-- > 0;) {
+            if (state_[i] == SlotState::Up) {
+                state_[i] = SlotState::Draining;
                 res_.scaleDowns++;
                 captureEvent(sim::TraceEventKind::ScaleDown,
                              static_cast<int>(i));
@@ -759,10 +574,9 @@ ServeDriver::handleScaleTick()
 ServeResult
 ServeDriver::run()
 {
-    const auto total =
-        static_cast<std::uint64_t>(reqTasks_.size());
+    const auto total = static_cast<std::uint64_t>(progress_.size());
     while (resolvedCount_ < total) {
-        if (now_ > hardCap_)
+        if (now() > hardCap_)
             fatal("serving loop passed %llu cycles with %llu of "
                   "%llu requests unresolved (deadlock?)",
                   static_cast<unsigned long long>(hardCap_),
@@ -775,7 +589,7 @@ ServeDriver::run()
             continue;
         }
         const Event ev = queue_.top();
-        if (ev.at > now_) {
+        if (ev.at > now()) {
             advanceTo(chunkTarget(ev.at));
             continue; // Harvest may have scheduled earlier events.
         }
@@ -805,75 +619,9 @@ void
 ServeDriver::finalize()
 {
     cluster::ClusterResult &out = res_.cluster;
-    out.dispatcher = cfg_.dispatcher;
-    out.policy = cfg_.policy;
-    out.numSocs = cfg_.numSocs;
+    fleet_.aggregate(out, dispatchSec_);
     out.numTasks = res_.attempts;
-    out.epochs = engine_->stats().epochs;
-    out.horizonStalls = engine_->stats().horizonStalls;
-    out.meanSocsStepped = engine_->stats().meanSocsStepped();
-    if (cfg_.profile) {
-        engine_->phaseTotals(out.phases.shardAdvanceSec,
-                             out.phases.barrierWaitSec);
-        out.phases.dispatchSec = dispatchSec_;
-    }
-    out.perSoc.resize(slots_.size());
-
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        Slot &slot = slots_[i];
-        cluster::SocShare &share = out.perSoc[i];
-        share.tasks = slot.placed;
-
-        // Aggregate the slot across its incarnations: every
-        // completion ran on real fleet capacity, orphan or not.
-        std::vector<sim::JobResult> all;
-        double busy_weighted = 0.0;
-        Cycles cycles = 0;
-        for (auto &soc : slot.socs) {
-            soc->finishRun();
-            all.insert(all.end(), soc->results().begin(),
-                       soc->results().end());
-            share.simSteps += soc->stats().quanta;
-            busy_weighted += soc->stats().dramBusyFraction *
-                static_cast<double>(soc->stats().cyclesSimulated);
-            cycles += soc->stats().cyclesSimulated;
-            if (cfg_.capture) {
-                // Every incarnation's events carry the slot's socId;
-                // the exporter merges them onto one slot track.
-                const auto &events = soc->trace().events();
-                cfg_.capture->socEvents.insert(
-                    cfg_.capture->socEvents.end(), events.begin(),
-                    events.end());
-            }
-        }
-        if (cfg_.capture && slot.live().sampler())
-            cfg_.capture->socSeries.push_back(
-                slot.live().sampler()->series());
-        share.metrics = metrics::computeMetrics(all, iso_);
-        share.dramBusyFraction = cycles > 0
-            ? busy_weighted / static_cast<double>(cycles)
-            : 0.0;
-        for (const auto &jr : all)
-            share.makespan = std::max(share.makespan, jr.finish);
-        out.simSteps += share.simSteps;
-        out.stp += share.metrics.stp;
-        out.makespan = std::max(out.makespan, share.makespan);
-    }
-
-    // Client-facing fleet aggregates: responses only.
-    out.slaRate = res_.responses > 0
-        ? static_cast<double>(respMet_) /
-            static_cast<double>(res_.responses)
-        : 0.0;
-    out.slaRateHigh = respHigh_ > 0
-        ? static_cast<double>(respHighMet_) /
-            static_cast<double>(respHigh_)
-        : 0.0;
-    out.latency = percentileSummary(respLatency_);
-    out.normLatency = percentileSummary(respNormLatency_);
-    if (out.makespan > 0)
-        out.goodput = static_cast<double>(respMet_) * 1e9 /
-            static_cast<double>(out.makespan);
+    responses_.fill(out);
 
     out.shedTasks = res_.shed;
     out.deferredTasks = res_.deferrals;
@@ -890,22 +638,6 @@ ServeDriver::finalize()
             static_cast<double>(res_.requests);
         res_.successRate = static_cast<double>(res_.responses) /
             static_cast<double>(res_.requests);
-    }
-
-    double mean_tasks = 0.0;
-    for (const Slot &slot : slots_)
-        mean_tasks += static_cast<double>(slot.placed);
-    mean_tasks /= static_cast<double>(slots_.size());
-    if (mean_tasks > 0.0) {
-        double var = 0.0;
-        for (const Slot &slot : slots_) {
-            const double d =
-                static_cast<double>(slot.placed) - mean_tasks;
-            var += d * d;
-        }
-        out.balanceCv =
-            std::sqrt(var / static_cast<double>(slots_.size())) /
-            mean_tasks;
     }
 
     res_.clientLatency = percentileSummary(clientLatency_);

@@ -25,12 +25,11 @@
  * a *fresh* SoC into the slot.  The dispatcher and admission policy
  * only ever see the Up slots.
  *
- * The open-loop synthesizer remains available as a degenerate pool
- * (openLoop = true): the request stream comes from
- * cluster::synthesizeTasks with fixed arrival cycles, no think time,
- * no timeouts, no retries — with always-admit, no autoscaler, no
- * failures, and an unbounded control quantum it replays
- * cluster::runCluster bit-identically.
+ * The fleet half — slots and incarnations, the PDES engine and its
+ * epoch spans, load snapshots, placement, injection, harvest and the
+ * ClusterResult aggregation — is the fleet core (cluster/fleet.h)
+ * that cluster::runCluster also runs on; fixed-arrival open-loop
+ * streams go through runCluster.
  */
 
 #ifndef MOCA_SERVE_SERVE_H
@@ -69,9 +68,8 @@ struct ServeConfig
     /**
      * Control quantum in cycles: the fleet never advances more than
      * this far without a harvest/reaction point.  0 = unbounded
-     * (advance straight to the next front-end event — the open-loop
-     * replay mode).  Smaller quanta react faster but cost more
-     * barrier epochs.
+     * (advance straight to the next front-end event).  Smaller
+     * quanta react faster but cost more barrier epochs.
      */
     Cycles controlQuantum = 50'000;
 
@@ -82,11 +80,6 @@ struct ServeConfig
     ClientPoolConfig clients;
     AutoscalerConfig autoscaler;
     FailureConfig failures;
-
-    /** Degenerate open-loop pool: replay a synthesized fixed-arrival
-     *  stream (`synth`) instead of the closed-loop clients. */
-    bool openLoop = false;
-    cluster::SynthConfig synth;
 
     /** Wall-clock phase profiling (see ClusterResult::phases);
      *  diagnostic only, keep off for timing=0 baselines. */
@@ -152,7 +145,7 @@ struct ServeResult
 };
 
 /**
- * Run one closed-loop (or degenerate open-loop) serving experiment.
+ * Run one closed-loop serving experiment.
  * Deterministic: a pure function of `cfg`, bit-identical for every
  * `jobs` value.  Fatal on invalid configuration or an unresolvable
  * stall (maxCycles).

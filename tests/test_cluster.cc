@@ -505,6 +505,49 @@ TEST(Cluster, HeterogeneousFleetRuns)
     const auto res = cluster::runCluster(cc, tasks);
     EXPECT_EQ(res.numTasks, 120u);
     EXPECT_EQ(res.perSoc.size(), 2u);
+
+    // Under rr SoC i receives tasks i, i+2, ...  A SoC's trajectory
+    // depends on the epoch horizons it is advanced to, i.e. on every
+    // arrival fleet-wide, so arrivals come in same-cycle pairs: both
+    // SoCs then see exactly their own arrival cycles.  SoCs share
+    // nothing else, so each share must equal a 1-SoC run on that
+    // SoC's own config over its sub-stream — metrics normalized by
+    // its own tile count, not the first SoC's.
+    auto paired = tasks;
+    for (std::size_t t = 1; t < paired.size(); t += 2)
+        paired[t].arrival = paired[t - 1].arrival;
+    cc.dispatcher = "rr";
+    const auto fleet = cluster::runCluster(cc, paired);
+    ASSERT_EQ(fleet.perSoc.size(), 2u);
+    std::uint64_t steps = 0;
+    for (std::size_t i = 0; i < 2; ++i) {
+        std::vector<ClusterTask> sub;
+        for (std::size_t t = i; t < paired.size(); t += 2)
+            sub.push_back(paired[t]);
+        ClusterConfig one = ClusterConfig::homogeneous(1, cc.socs[i]);
+        one.policy = cc.policy;
+        const auto solo = cluster::runCluster(one, sub);
+        const cluster::SocShare &a = fleet.perSoc[i];
+        const cluster::SocShare &b = solo.perSoc[0];
+        EXPECT_EQ(a.tasks, static_cast<int>(sub.size())) << i;
+        EXPECT_EQ(a.tasks, b.tasks) << i;
+        EXPECT_EQ(a.makespan, b.makespan) << i;
+        EXPECT_EQ(a.simSteps, b.simSteps) << i;
+        EXPECT_EQ(a.metrics.numJobs, b.metrics.numJobs) << i;
+        EXPECT_EQ(a.metrics.slaRate, b.metrics.slaRate) << i;
+        EXPECT_EQ(a.metrics.slaRateLow, b.metrics.slaRateLow) << i;
+        EXPECT_EQ(a.metrics.slaRateMid, b.metrics.slaRateMid) << i;
+        EXPECT_EQ(a.metrics.slaRateHigh, b.metrics.slaRateHigh) << i;
+        EXPECT_EQ(a.metrics.stp, b.metrics.stp) << i;
+        EXPECT_EQ(a.metrics.fairness, b.metrics.fairness) << i;
+        EXPECT_EQ(a.metrics.meanNormLatency, b.metrics.meanNormLatency)
+            << i;
+        EXPECT_EQ(a.metrics.worstNormLatency,
+                  b.metrics.worstNormLatency)
+            << i;
+        steps += a.simSteps;
+    }
+    EXPECT_EQ(fleet.simSteps, steps);
 }
 
 TEST(Cluster, UnsortedTasksDie)

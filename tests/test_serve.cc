@@ -6,8 +6,8 @@
  * across PDES worker counts (failures and admission control
  * included), the forced-timeout retry path, the autoscaler's
  * drain-never-loses-work invariant, mid-run SoC fail/recover on both
- * time-advance kernels and both in-flight policies, and the
- * open-loop degenerate mode replaying cluster::runCluster.
+ * time-advance kernels and both in-flight policies, and the per-SoC
+ * shares summed over failure incarnations.
  */
 
 #include <gtest/gtest.h>
@@ -377,50 +377,31 @@ TEST(Serve, FailRecoverMidRunBothKernelsBothPolicies)
     }
 }
 
-TEST(Serve, OpenLoopDegenerateModeReplaysRunCluster)
+TEST(Serve, PerSocSharesSumOverIncarnations)
 {
-    const sim::SocConfig soc = testSoc();
-    const int socs = 2;
-    cluster::SynthConfig synth;
-    synth.numTasks = 24;
-    synth.set = workload::WorkloadSet::A;
-    synth.fleetTiles = socs * soc.numTiles;
-    synth.seed = 11;
-    const auto tasks =
-        cluster::synthesizeTasks(synth, [&](dnn::ModelId id) {
-            return exp::isolatedLatency(id, 1, soc);
-        });
-
-    cluster::ClusterConfig cc =
-        cluster::ClusterConfig::homogeneous(socs, soc);
-    const cluster::ClusterResult direct =
-        cluster::runCluster(cc, tasks);
-
-    ServeConfig sc;
-    sc.soc = soc;
-    sc.numSocs = socs;
-    sc.openLoop = true;
-    sc.synth = synth;
-    sc.controlQuantum = 0;
-    const ServeResult r = serve::runServe(sc);
-
-    // Same placements, same job outcomes: the closed-loop driver
-    // degenerates to the open-loop cluster path bit-identically.
-    EXPECT_EQ(r.requests, static_cast<std::uint64_t>(tasks.size()));
-    EXPECT_EQ(r.giveUps, 0u);
-    EXPECT_EQ(r.cluster.slaRate, direct.slaRate);
-    EXPECT_EQ(r.cluster.slaRateHigh, direct.slaRateHigh);
-    EXPECT_EQ(r.cluster.latency.p50, direct.latency.p50);
-    EXPECT_EQ(r.cluster.latency.p95, direct.latency.p95);
-    EXPECT_EQ(r.cluster.latency.p99, direct.latency.p99);
-    EXPECT_EQ(r.cluster.normLatency.p99, direct.normLatency.p99);
-    EXPECT_EQ(r.cluster.stp, direct.stp);
-    EXPECT_EQ(r.cluster.makespan, direct.makespan);
-    ASSERT_EQ(r.cluster.perSoc.size(), direct.perSoc.size());
-    for (std::size_t i = 0; i < direct.perSoc.size(); ++i) {
-        EXPECT_EQ(r.cluster.perSoc[i].tasks, direct.perSoc[i].tasks);
-        EXPECT_EQ(r.cluster.perSoc[i].makespan,
-                  direct.perSoc[i].makespan);
+    // Failures swap fresh SoCs into slots; every incarnation's
+    // placements, completions (orphans included) and kernel steps
+    // must land in its slot's share, at every worker count.
+    ServeConfig sc = testServe(3, 6, 3);
+    sc.failures.rate = 4000.0;
+    sc.failures.meanDowntime = 2e5;
+    sc.failures.inflight = serve::InflightPolicy::Requeue;
+    for (int jobs : {1, 4}) {
+        sc.jobs = jobs;
+        const ServeResult r = serve::runServe(sc);
+        expectAccountingInvariants(r);
+        EXPECT_GT(r.recoverEvents, 0u) << jobs;
+        EXPECT_GT(r.requeued, 0u) << jobs;
+        std::uint64_t tasks = 0, jobs_done = 0, steps = 0;
+        for (const cluster::SocShare &share : r.cluster.perSoc) {
+            tasks += static_cast<std::uint64_t>(share.tasks);
+            jobs_done +=
+                static_cast<std::uint64_t>(share.metrics.numJobs);
+            steps += share.simSteps;
+        }
+        EXPECT_EQ(tasks, r.attempts) << jobs;
+        EXPECT_EQ(jobs_done, r.responses + r.orphans) << jobs;
+        EXPECT_EQ(steps, r.cluster.simSteps) << jobs;
     }
 }
 
