@@ -22,7 +22,7 @@ Fleet::Fleet(const ClusterConfig &cfg) : cfg_(cfg)
         FleetSlot &slot = slots_[i];
         slot.cfg = cfg_.socs[i];
         slot.cfg.socId = static_cast<int>(i);
-        addIncarnation(slot);
+        addIncarnation(slot, 0);
         socs.push_back(&slot.live());
     }
     dispatcher_ = DispatcherRegistry::instance().make(
@@ -32,7 +32,7 @@ Fleet::Fleet(const ClusterConfig &cfg) : cfg_(cfg)
 }
 
 void
-Fleet::addIncarnation(FleetSlot &slot)
+Fleet::addIncarnation(FleetSlot &slot, Cycles start)
 {
     slot.policies.push_back(
         exp::PolicyRegistry::instance().make(cfg_.policy, slot.cfg));
@@ -40,7 +40,7 @@ Fleet::addIncarnation(FleetSlot &slot)
         std::make_unique<sim::Soc>(slot.cfg, *slot.policies.back()));
     if (cfg_.capture)
         slot.live().trace().enable();
-    slot.live().beginRun(cfg_.maxCycles);
+    slot.live().beginRun(cfg_.maxCycles, start);
     slot.jobReq.emplace_back();
     slot.harvested = 0;
 }
@@ -127,10 +127,12 @@ Fleet::freeze(std::size_t i)
 void
 Fleet::reincarnate(std::size_t i)
 {
-    // The fresh SoC's clock starts at 0 with nothing queued, so it
+    // The fresh SoC boots at the recovery cycle on the fleet's tick
+    // grid: it has no history, so it neither replays ticks before it
+    // booted nor reports them in its trace.  With nothing queued it
     // reports kNoEvent and costs the engine nothing until placed on.
     FleetSlot &slot = slots_[i];
-    addIncarnation(slot);
+    addIncarnation(slot, now_);
     engine_->replaceSoc(i, &slot.live());
     engine_->setActive(i, true);
 }
@@ -187,8 +189,9 @@ Fleet::aggregate(ClusterResult &out, double dispatch_sec)
                 return exp::isolatedLatency(id, slot.cfg.numTiles,
                                             slot.cfg);
             });
-        // A time-weighted mean over incarnations; a single one
-        // reports its own fraction exactly.
+        // A mean over incarnations weighted by their lifetimes (each
+        // from its boot cycle); a single one reports its own
+        // fraction exactly.
         if (slot.socs.size() == 1)
             share.dramBusyFraction = slot.live().stats().dramBusyFraction;
         else if (cycles > 0)

@@ -132,13 +132,16 @@ class Fleet
     void freeze(std::size_t i);
 
     /** Boot a fresh incarnation (new SoC and policy state) into the
-     *  frozen slot `i` and return it to the engine. */
+     *  frozen slot `i` at the fleet clock now() — on the fleet's tick
+     *  grid, with no ticks before it — and return it to the
+     *  engine. */
     void reincarnate(std::size_t i);
 
     /**
      * Finish every incarnation and fill `out`'s fleet-shape fields:
      * spec names, numSocs, per-slot shares (summed over incarnations,
-     * each slot normalized by its own config), STP, makespan, sim
+     * each slot normalized by its own config; dramBusyFraction
+     * weighted by incarnation lifetime), STP, makespan, sim
      * steps, balanceCv, epoch stats and — when profiling —
      * phases (with `dispatch_sec` as the coordinator time).  With
      * capture on, copies out every incarnation's trace events and the
@@ -147,7 +150,8 @@ class Fleet
     void aggregate(ClusterResult &out, double dispatch_sec);
 
   private:
-    void addIncarnation(FleetSlot &slot);
+    /** Append a fresh incarnation to `slot`, booted at `start`. */
+    void addIncarnation(FleetSlot &slot, Cycles start);
 
     const ClusterConfig cfg_;
     std::vector<FleetSlot> slots_;

@@ -257,8 +257,10 @@ MocaPolicy::maybeRepartition(sim::Soc &soc, sim::SchedEvent event)
     if (!cfg_.enableComputeRepartition)
         return;
     const int per_slot = tilesPerSlot(soc);
-    const auto running = soc.runningJobs();
-    const auto waiting = soc.waitingJobs();
+    // Live views, not copies: resizeJob and configureThrottle change
+    // neither set, and each branch stops after its first resize.
+    const std::vector<int> &running = soc.runningJobs();
+    const std::vector<int> &waiting = soc.waitingJobs();
     const double migration =
         static_cast<double>(soc.config().migrationCycles);
 

@@ -880,13 +880,26 @@ Soc::gridCeil(Cycles t) const
 }
 
 void
-Soc::beginRun(Cycles max_cycles)
+Soc::beginRun(Cycles max_cycles, Cycles start)
 {
     if (!sorted_)
         sortArrivals();
     run_max_cycles_ = max_cycles == 0 ? cfg_.maxCycles : max_cycles;
     if (!began_) {
-        next_sched_tick_ = 0;
+        const Cycles first = nextArrivalCycle();
+        if (first != kNoArrival && first < start)
+            fatal("beginRun: job dispatched at %llu precedes the start "
+                  "cycle %llu",
+                  static_cast<unsigned long long>(first),
+                  static_cast<unsigned long long>(start));
+        // Ticks fire on the exact schedPeriod grid from cycle 0 (every
+        // step and idle advance clamps to the next tick), so a SoC
+        // booted at `start` takes the grid where the ticks would have
+        // landed had it idled there from 0.
+        now_ = start;
+        start_ = start;
+        next_sched_tick_ = (start + cfg_.schedPeriod - 1) /
+            cfg_.schedPeriod * cfg_.schedPeriod;
         began_ = true;
     }
     if (cfg_.sampleEvery > 0 && !tele_reg_)
@@ -1017,13 +1030,15 @@ void
 Soc::finishRun()
 {
     debugCheckNoRealloc();
-    stats_.cyclesSimulated = now_;
+    stats_.cyclesSimulated = now_ - start_;
     stats_.memTraffic = mem_->traffic();
     stats_.l2Bytes = 0;
     for (const auto &j : jobs_)
         stats_.l2Bytes += j.l2BytesMoved;
-    stats_.dramBusyFraction =
-        now_ > 0 ? dram_busy_cycles_ / static_cast<double>(now_) : 0.0;
+    stats_.dramBusyFraction = stats_.cyclesSimulated > 0
+        ? dram_busy_cycles_ /
+            static_cast<double>(stats_.cyclesSimulated)
+        : 0.0;
 }
 
 void

@@ -59,10 +59,12 @@ inline constexpr Cycles kNoEvent = ~Cycles{0};
 /** Aggregate SoC-level statistics for a run. */
 struct SocStats
 {
+    /** Lifetime: final clock minus the beginRun start cycle. */
     Cycles cyclesSimulated = 0;
     std::uint64_t dramBytes = 0;
     std::uint64_t l2Bytes = 0;
-    double dramBusyFraction = 0.0; ///< Time-averaged DRAM utilization.
+    /** DRAM utilization averaged over cyclesSimulated. */
+    double dramBusyFraction = 0.0;
     /** Demand/arbitrate/advance rounds executed: fixed quanta under
      *  the quantum kernel, variable-length steps under the event
      *  kernel (the kernel-speedup ratio is quanta_q / quanta_e). */
@@ -107,9 +109,20 @@ class Soc
     // arrival, a 1-SoC cluster replays the single-SoC simulation
     // bit-identically.
 
-    /** Prepare for stepping: sort arrivals, arm the scheduler tick.
-     *  @param max_cycles as for run(); 0 uses cfg.maxCycles. */
-    void beginRun(Cycles max_cycles = 0);
+    /**
+     * Prepare for stepping: sort arrivals, arm the scheduler tick.
+     * The first call boots the SoC at `start`: now() = start, and the
+     * first periodic tick is the first multiple of cfg.schedPeriod at
+     * or after it — exactly where the tick would land had the SoC
+     * idled from cycle 0, so a SoC booted late (a fleet slot's
+     * recovered incarnation) sees the same scheduling points from
+     * `start` on without replaying the empty ticks before it.  Fatal
+     * when a queued job dispatches before `start`.
+     * @param max_cycles as for run(); 0 uses cfg.maxCycles.  An
+     *        absolute cycle bound, like now().
+     * @param start boot cycle; ignored once armed.
+     */
+    void beginRun(Cycles max_cycles = 0, Cycles start = 0);
 
     /**
      * Execute one kernel iteration (one demand/arbitrate/advance
@@ -125,8 +138,8 @@ class Soc
      * sharded (cluster::ParallelEngine) fleet paths.  One loop serves
      * both modes: kNoHorizon never clamps a step, so draining to
      * completion takes exactly the bounded code path.  A horizon of 0
-     * is a no-op (now() starts at 0), matching "advance to an arrival
-     * at cycle 0".
+     * is a no-op (now() is never below it), matching "advance to an
+     * arrival at cycle 0".
      */
     void advanceTo(Cycles horizon);
 
@@ -288,6 +301,7 @@ class Soc
     Policy &policy_;
     std::unique_ptr<mem::MemoryModel> mem_;
     Cycles now_ = 0;
+    Cycles start_ = 0; ///< Boot cycle (see beginRun).
 
     /**
      * Hot/cold job-state split: hot_ holds the per-step execution

@@ -6,14 +6,22 @@
  * across PDES worker counts (failures and admission control
  * included), the forced-timeout retry path, the autoscaler's
  * drain-never-loses-work invariant, mid-run SoC fail/recover on both
- * time-advance kernels and both in-flight policies, and the per-SoC
- * shares summed over failure incarnations.
+ * time-advance kernels and both in-flight policies, the per-SoC
+ * shares summed over failure incarnations, and recovered SoCs that
+ * boot at the recovery cycle (no ticks while down, DRAM utilization
+ * weighted by incarnation lifetime).
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
+#include <utility>
+
 #include "cluster/cluster.h"
+#include "cluster/fleet.h"
 #include "exp/oracle.h"
+#include "obs/capture.h"
 #include "serve/serve.h"
 
 using namespace moca;
@@ -402,6 +410,110 @@ TEST(Serve, PerSocSharesSumOverIncarnations)
         EXPECT_EQ(tasks, r.attempts) << jobs;
         EXPECT_EQ(jobs_done, r.responses + r.orphans) << jobs;
         EXPECT_EQ(steps, r.cluster.simSteps) << jobs;
+    }
+}
+
+TEST(Serve, RecoveredSocRecordsNoTicksWhileDown)
+{
+    // A recovered SoC boots at the recovery cycle: no slot may
+    // record a periodic tick strictly inside one of its downtimes
+    // (a SoC replaying its empty history from cycle 0 would).
+    ServeConfig sc = testServe(3, 6, 3);
+    sc.failures.rate = 4000.0;
+    sc.failures.meanDowntime = 2e5;
+    sc.failures.inflight = serve::InflightPolicy::Requeue;
+    for (int jobs : {1, 4}) {
+        obs::Capture capture;
+        sc.jobs = jobs;
+        sc.capture = &capture;
+        const ServeResult r = serve::runServe(sc);
+        ASSERT_GT(r.recoverEvents, 0u) << jobs;
+
+        // Per slot: [fail, recover) downtimes; an unrecovered
+        // failure stays down to the end of the run.
+        constexpr Cycles kNever = std::numeric_limits<Cycles>::max();
+        std::map<int, std::vector<std::pair<Cycles, Cycles>>> down;
+        for (const sim::TraceEvent &e : capture.frontend.events()) {
+            if (e.kind == sim::TraceEventKind::SocFail)
+                down[e.jobId].push_back({e.cycle, kNever});
+            else if (e.kind == sim::TraceEventKind::SocRecover)
+                down[e.jobId].back().second = e.cycle;
+        }
+        std::size_t ticks_after_recovery = 0;
+        for (const sim::TraceEvent &e : capture.socEvents) {
+            if (e.kind != sim::TraceEventKind::SchedTick)
+                continue;
+            for (const auto &[fail, recover] : down[e.socId]) {
+                EXPECT_FALSE(e.cycle > fail && e.cycle < recover)
+                    << "slot " << e.socId << " ticked at " << e.cycle
+                    << " while down [" << fail << ", " << recover
+                    << "), jobs=" << jobs;
+                if (recover != kNever && e.cycle >= recover)
+                    ++ticks_after_recovery;
+            }
+        }
+        // The recovered incarnations did run.
+        EXPECT_GT(ticks_after_recovery, 0u) << jobs;
+    }
+}
+
+TEST(Fleet, DramBusyFractionWeightsIncarnationsByLifetime)
+{
+    // Drive the fleet's failure churn (the serving driver's
+    // freeze/reincarnate pair) by hand, recording each incarnation's
+    // boot cycle: a slot's DRAM busy fraction must be its busy
+    // cycles over its incarnations' lifetimes, not over their
+    // absolute final clocks.
+    const auto task = [](int id, dnn::ModelId model, Cycles at) {
+        cluster::ClusterTask t;
+        t.id = id;
+        t.model = model;
+        t.arrival = at;
+        t.slaLatency = 1'000'000'000;
+        return t;
+    };
+    cluster::Fleet fleet(cluster::ClusterConfig::homogeneous(2, testSoc()));
+    std::vector<std::vector<Cycles>> births = {{0}, {0}};
+    const auto reboot = [&](std::size_t slot) {
+        fleet.reincarnate(slot);
+        births[slot].push_back(fleet.now());
+        EXPECT_EQ(fleet.slot(slot).live().now(), fleet.now());
+    };
+
+    fleet.inject(0, task(0, dnn::ModelId::AlexNet, 0), 0);
+    fleet.inject(1, task(1, dnn::ModelId::Kws, 0), 1);
+    fleet.advance(300'000);
+    fleet.freeze(0);
+    fleet.advance(900'000);
+    reboot(0);
+    fleet.inject(0, task(2, dnn::ModelId::ResNet50, 900'000), 2);
+    fleet.inject(1, task(3, dnn::ModelId::AlexNet, 900'000), 3);
+    fleet.advance(1'500'000);
+    fleet.freeze(1);
+    fleet.advance(1'650'000);
+    reboot(1);
+    fleet.inject(1, task(4, dnn::ModelId::SqueezeNet, 1'650'000), 4);
+    fleet.advance(sim::kNoHorizon);
+
+    cluster::ClusterResult out;
+    fleet.aggregate(out, 0.0);
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+        const cluster::FleetSlot &slot = fleet.slot(i);
+        ASSERT_EQ(slot.socs.size(), 2u) << i;
+        double busy = 0.0;
+        Cycles lifetimes = 0;
+        for (std::size_t k = 0; k < slot.socs.size(); ++k) {
+            const sim::Soc &soc = *slot.socs[k];
+            const Cycles life = soc.now() - births[i][k];
+            EXPECT_EQ(soc.stats().cyclesSimulated, life) << i << k;
+            busy += soc.stats().dramBusyFraction *
+                static_cast<double>(soc.stats().cyclesSimulated);
+            lifetimes += life;
+        }
+        ASSERT_GT(busy, 0.0) << i;
+        EXPECT_DOUBLE_EQ(out.perSoc[i].dramBusyFraction,
+                         busy / static_cast<double>(lifetimes))
+            << i;
     }
 }
 

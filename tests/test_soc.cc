@@ -2,13 +2,16 @@
  * @file
  * Integration-level tests of the SoC simulator engine: isolated runs,
  * co-location slowdowns, tile scaling, stalls, throttling effects,
- * and determinism.
+ * determinism, and booting a SoC late on the tick grid.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "dnn/model_zoo.h"
 #include "exp/oracle.h"
+#include "exp/registry.h"
 #include "sim/soc.h"
 
 namespace moca::sim {
@@ -297,6 +300,128 @@ TEST(Soc, AdvanceToHorizonZeroIsNoOpAndNextEventTracksClock)
     soc.finishRun();
     EXPECT_TRUE(soc.done());
     EXPECT_EQ(soc.nextEventTime(), kNoEvent);
+}
+
+/**
+ * Drive `soc` the way the fleet drives a recovered slot: advance to
+ * each dispatch cycle (and each extra horizon), inject the jobs due
+ * there, then drain.
+ */
+void
+driveFleetStyle(Soc &soc, const std::vector<JobSpec> &specs,
+                const std::vector<Cycles> &horizons)
+{
+    std::size_t next = 0;
+    for (Cycles h : horizons) {
+        soc.advanceTo(h);
+        while (next < specs.size() && specs[next].dispatch == h)
+            soc.injectJob(specs[next++]);
+    }
+    ASSERT_EQ(next, specs.size());
+    soc.advanceTo(kNoHorizon);
+    soc.finishRun();
+}
+
+TEST(Soc, LateBootMatchesIdlingFromZero)
+{
+    // A SoC booted at B sees exactly the scheduling points a SoC
+    // idling from cycle 0 sees from B on — it only skips the policy
+    // calls on its empty past.  Births on and off the tick grid; one
+    // arrival lands exactly on a tick (arrival first, then tick).
+    for (const char *policy : {"moca", "prema", "static", "planaria"}) {
+        for (SimKernel kernel : {SimKernel::Quantum, SimKernel::Event}) {
+            SocConfig cfg;
+            cfg.kernel = kernel;
+            const Cycles period = cfg.schedPeriod;
+            for (Cycles birth : {3 * period, 3 * period + 12'345}) {
+                const std::string what = std::string(policy) + " " +
+                    simKernelName(kernel) + " B=" +
+                    std::to_string(birth);
+                const Cycles on_tick = (birth / period + 2) * period;
+                std::vector<JobSpec> specs = {
+                    spec(0, dnn::ModelId::Kws, birth, 2),
+                    spec(1, dnn::ModelId::AlexNet, birth + 7'777, 5),
+                    spec(2, dnn::ModelId::SqueezeNet, on_tick, 11),
+                    spec(3, dnn::ModelId::Kws, on_tick + 30'001, 8),
+                };
+                std::vector<Cycles> horizons = {
+                    birth, birth + 7'777, birth + 50'000, on_tick,
+                    on_tick + 30'001, on_tick + 2 * period + 1};
+
+                auto early_policy =
+                    exp::PolicyRegistry::instance().make(policy, cfg);
+                auto late_policy =
+                    exp::PolicyRegistry::instance().make(policy, cfg);
+                Soc early(cfg, *early_policy), late(cfg, *late_policy);
+                early.trace().enable();
+                late.trace().enable();
+                early.beginRun();
+                late.beginRun(0, birth);
+                EXPECT_EQ(late.now(), birth) << what;
+                driveFleetStyle(early, specs, horizons);
+                driveFleetStyle(late, specs, horizons);
+
+                const auto &re = early.results();
+                const auto &rl = late.results();
+                ASSERT_EQ(re.size(), specs.size()) << what;
+                ASSERT_EQ(rl.size(), re.size()) << what;
+                for (std::size_t i = 0; i < re.size(); ++i) {
+                    EXPECT_EQ(rl[i].spec.id, re[i].spec.id) << what;
+                    EXPECT_EQ(rl[i].firstStart, re[i].firstStart)
+                        << what;
+                    EXPECT_EQ(rl[i].finish, re[i].finish) << what;
+                    EXPECT_EQ(rl[i].dramBytesMoved,
+                              re[i].dramBytesMoved) << what;
+                    EXPECT_EQ(rl[i].l2BytesMoved, re[i].l2BytesMoved)
+                        << what;
+                    EXPECT_EQ(rl[i].stallCycles, re[i].stallCycles)
+                        << what;
+                    EXPECT_EQ(rl[i].migrations, re[i].migrations)
+                        << what;
+                    EXPECT_EQ(rl[i].preemptions, re[i].preemptions)
+                        << what;
+                    EXPECT_EQ(rl[i].throttleReconfigs,
+                              re[i].throttleReconfigs) << what;
+                }
+                EXPECT_EQ(late.now(), early.now()) << what;
+                EXPECT_EQ(late.stats().quanta, early.stats().quanta)
+                    << what;
+                EXPECT_EQ(late.stats().dramBytes,
+                          early.stats().dramBytes) << what;
+                EXPECT_EQ(late.stats().cyclesSimulated,
+                          early.stats().cyclesSimulated - birth)
+                    << what;
+                EXPECT_LT(late.stats().schedInvocations,
+                          early.stats().schedInvocations) << what;
+
+                std::vector<TraceEvent> tail;
+                for (const TraceEvent &e : early.trace().events())
+                    if (e.cycle >= birth)
+                        tail.push_back(e);
+                const auto &got = late.trace().events();
+                ASSERT_EQ(got.size(), tail.size()) << what;
+                bool tick_at_arrival = false;
+                for (std::size_t i = 0; i < got.size(); ++i) {
+                    EXPECT_EQ(got[i].cycle, tail[i].cycle) << what;
+                    EXPECT_EQ(got[i].kind, tail[i].kind) << what;
+                    EXPECT_EQ(got[i].jobId, tail[i].jobId) << what;
+                    EXPECT_EQ(got[i].value, tail[i].value) << what;
+                    tick_at_arrival |= got[i].cycle == on_tick &&
+                        got[i].kind == TraceEventKind::SchedTick;
+                }
+                EXPECT_TRUE(tick_at_arrival) << what;
+            }
+        }
+    }
+}
+
+TEST(SocDeath, BootAfterAQueuedDispatch)
+{
+    SocConfig cfg;
+    exp::SoloPolicy policy(cfg.numTiles);
+    Soc soc(cfg, policy);
+    soc.addJob(spec(0, dnn::ModelId::Kws, 10));
+    EXPECT_DEATH(soc.beginRun(0, 20), "precedes the start");
 }
 
 } // namespace
