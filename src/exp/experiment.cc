@@ -2,37 +2,34 @@
 
 #include "common/log.h"
 #include "common/text.h"
-#include "exp/oracle.h"
 #include "exp/registry.h"
 #include "mem/memory_model.h"
 
 namespace moca::exp {
 
+const ScenarioResult &
+ExperimentResults::operator[](const std::string &spec) const
+{
+    for (std::size_t i = 0; i < specs_.size(); ++i)
+        if (specs_[i] == spec)
+            return results_[i];
+    fatal("experiment has no result for policy '%s'; ran: %s",
+          spec.c_str(), joinNames(specs_).c_str());
+}
+
+bool
+ExperimentResults::has(const std::string &spec) const
+{
+    for (const auto &s : specs_)
+        if (s == spec)
+            return true;
+    return false;
+}
+
 Experiment &
 Experiment::soc(const sim::SocConfig &cfg)
 {
     soc_ = cfg;
-    return *this;
-}
-
-Experiment &
-Experiment::kernel(sim::SimKernel k)
-{
-    soc_.kernel = k;
-    return *this;
-}
-
-Experiment &
-Experiment::mem(std::string spec)
-{
-    soc_.memModel = std::move(spec);
-    return *this;
-}
-
-Experiment &
-Experiment::sampleEvery(Cycles every)
-{
-    soc_.sampleEvery = every;
     return *this;
 }
 
@@ -58,145 +55,15 @@ Experiment::policy(std::string spec)
 }
 
 Experiment &
-Experiment::withTrace(
-    std::shared_ptr<const std::vector<sim::JobSpec>> specs)
-{
-    stream_ = std::move(specs);
-    return *this;
-}
-
-Experiment &
-Experiment::withTrace(std::vector<sim::JobSpec> specs)
-{
-    stream_ = std::make_shared<const std::vector<sim::JobSpec>>(
-        std::move(specs));
-    return *this;
-}
-
-Experiment &
-Experiment::label(std::string text)
-{
-    label_ = std::move(text);
-    return *this;
-}
-
-Experiment &
 Experiment::jobs(int n)
 {
     opts_.jobs = n;
     return *this;
 }
 
-Experiment &
-Experiment::verbose(bool on)
-{
-    opts_.verbose = on;
-    return *this;
-}
-
-Experiment &
-Experiment::sink(ResultSink *s)
-{
-    sinks_.push_back(s);
-    return *this;
-}
-
-Experiment &
-Experiment::cluster(int n)
-{
-    if (n < 1)
-        fatal("cluster(%d): fleet needs at least one SoC", n);
-    cluster_ = n;
-    return *this;
-}
-
-Experiment &
-Experiment::dispatcher(std::string spec)
-{
-    dispatcher_ = std::move(spec);
-    if (cluster_ == 0)
-        cluster_ = 1;
-    return *this;
-}
-
-Experiment &
-Experiment::clusterJobs(int n)
-{
-    if (n < 1)
-        fatal("clusterJobs(%d): the fleet engine needs at least one "
-              "worker", n);
-    cluster_jobs_ = n;
-    if (cluster_ == 0)
-        cluster_ = 1;
-    return *this;
-}
-
-Experiment &
-Experiment::fleetWorkload(const cluster::SynthConfig &synth)
-{
-    synth_ = synth;
-    synthSet_ = true;
-    if (cluster_ == 0)
-        cluster_ = 1;
-    return *this;
-}
-
-FleetResults
-Experiment::runFleet() const
-{
-    if (policies_.empty())
-        fatal("fleet experiment: no policies given (use "
-              ".policy(\"moca\") or .policies({...}))");
-    if (!sinks_.empty())
-        fatal("fleet experiment: streaming sinks are not supported "
-              "(ClusterResults are not per-scenario rows); drop the "
-              "sink() call");
-    const int n = cluster_ == 0 ? 1 : cluster_;
-    for (const auto &spec : policies_)
-        PolicyRegistry::instance().validate(spec);
-    cluster::DispatcherRegistry::instance().validate(dispatcher_);
-    mem::MemoryModelRegistry::instance().validate(soc_.memModel,
-                                                  soc_);
-
-    // Every policy replays the identical task stream: synthesized
-    // open-loop, or the (possibly pre-generated) single-SoC trace
-    // replayed at cluster scale.
-    std::vector<cluster::ClusterTask> tasks;
-    std::uint64_t dispatch_seed = trace_.seed;
-    if (synthSet_) {
-        cluster::SynthConfig synth = synth_;
-        if (synth.fleetTiles == 0)
-            synth.fleetTiles = n * soc_.numTiles;
-        dispatch_seed = synth.seed;
-        tasks = cluster::synthesizeTasks(synth, [&](dnn::ModelId id) {
-            return isolatedLatency(id, 1, soc_);
-        });
-    } else if (stream_) {
-        tasks = cluster::tasksFromJobSpecs(*stream_);
-    } else {
-        tasks = cluster::tasksFromJobSpecs(makeTrace(trace_, soc_));
-    }
-
-    std::vector<cluster::ClusterResult> results(policies_.size());
-    SweepRunner::runIndexed(
-        policies_.size(), opts_.jobs, [&](std::size_t i) {
-            cluster::ClusterConfig cc =
-                cluster::ClusterConfig::homogeneous(n, soc_);
-            cc.policy = policies_[i];
-            cc.dispatcher = dispatcher_;
-            cc.dispatcherSeed = dispatch_seed;
-            cc.jobs = cluster_jobs_;
-            results[i] = cluster::runCluster(cc, tasks);
-        });
-    return FleetResults(policies_, std::move(results));
-}
-
 ExperimentResults
 Experiment::run() const
 {
-    if (cluster_ != 0)
-        fatal("experiment: cluster(%d)/dispatcher() configured; use "
-              "runFleet() for fleet co-simulation", cluster_);
     if (policies_.empty())
         fatal("experiment: no policies given (use .policy(\"moca\") "
               "or .policies({...}))");
@@ -205,27 +72,9 @@ Experiment::run() const
     mem::MemoryModelRegistry::instance().validate(soc_.memModel,
                                                   soc_);
 
-    // All policies replay the identical job stream: the caller's
-    // pre-generated stream, or one generated once here and shared.
-    auto stream = stream_;
-    if (!stream)
-        stream = std::make_shared<const std::vector<sim::JobSpec>>(
-            makeTrace(trace_, soc_));
-
     std::vector<SweepCell> grid;
-    grid.reserve(policies_.size());
-    for (const auto &spec : policies_) {
-        SweepCell cell;
-        cell.label = label_;
-        cell.policy = spec;
-        cell.trace = trace_;
-        cell.soc = soc_;
-        cell.specs = stream;
-        grid.push_back(std::move(cell));
-    }
-
-    auto results = SweepRunner(opts_).run(grid, sinks_);
-    return ExperimentResults(policies_, std::move(results));
+    appendPolicyCells(grid, "experiment", policies_, trace_, soc_);
+    return ExperimentResults(policies_, SweepRunner(opts_).run(grid));
 }
 
 } // namespace moca::exp

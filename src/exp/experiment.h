@@ -14,77 +14,48 @@
  *     double sla = res["moca"].metrics.slaRate;
  *
  * Policies are named by registry spec strings (registry.h); results
- * come back keyed by exactly the spec strings given.  This subsumes
- * the old runScenario/runTrace free-function triple: a default-built
- * Experiment with one policy is runScenario, withTrace() replaces the
- * pre-generated-trace overloads.  Execution goes through the parallel
- * sweep engine, so `jobs(N)` and `sink()` streaming come for free.
+ * come back keyed by exactly the spec strings given.  The stream is
+ * generated once from soc + trace and shared by every policy; the
+ * cells run on the parallel sweep engine, so `jobs(N)` comes for
+ * free.  Fleets go through cluster::runCluster / serve::runServe.
  */
 
 #ifndef MOCA_EXP_EXPERIMENT_H
 #define MOCA_EXP_EXPERIMENT_H
 
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "cluster/cluster.h"
-#include "common/log.h"
-#include "common/text.h"
 #include "exp/sweep/sweep.h"
 
 namespace moca::exp {
 
-/**
- * Results keyed by the policy spec strings that produced them — the
- * shared shape of the single-SoC (ScenarioResult) and fleet
- * (cluster::ClusterResult) experiment outcomes.
- */
-template <typename Result>
-class SpecKeyedResults
+/** Results of an Experiment, keyed by policy spec string. */
+class ExperimentResults
 {
   public:
-    SpecKeyedResults(std::vector<std::string> specs,
-                     std::vector<Result> results)
+    ExperimentResults(std::vector<std::string> specs,
+                      std::vector<ScenarioResult> results)
         : specs_(std::move(specs)), results_(std::move(results))
     {
     }
 
     /** Result of one policy spec; fatal when the spec was not run. */
-    const Result &operator[](const std::string &spec) const
-    {
-        for (std::size_t i = 0; i < specs_.size(); ++i)
-            if (specs_[i] == spec)
-                return results_[i];
-        fatal("experiment has no result for policy '%s'; ran: %s",
-              spec.c_str(), joinNames(specs_).c_str());
-    }
+    const ScenarioResult &operator[](const std::string &spec) const;
 
-    bool has(const std::string &spec) const
-    {
-        for (const auto &s : specs_)
-            if (s == spec)
-                return true;
-        return false;
-    }
-
-    /** All results in the order the policies were given. */
-    const std::vector<Result> &all() const { return results_; }
+    bool has(const std::string &spec) const;
 
     std::size_t size() const { return results_.size(); }
+
+    /** Results in the order the policies were given. */
     auto begin() const { return results_.begin(); }
     auto end() const { return results_.end(); }
 
   private:
     std::vector<std::string> specs_;
-    std::vector<Result> results_;
+    std::vector<ScenarioResult> results_;
 };
-
-/** Results of an Experiment, keyed by policy spec string. */
-using ExperimentResults = SpecKeyedResults<ScenarioResult>;
-
-/** Results of a fleet experiment, keyed by policy spec string. */
-using FleetResults = SpecKeyedResults<cluster::ClusterResult>;
 
 /** Fluent builder for one multi-policy experiment. */
 class Experiment
@@ -95,22 +66,6 @@ class Experiment
     /** SoC configuration (default: Table II). */
     Experiment &soc(const sim::SocConfig &cfg);
 
-    /** Time-advance kernel of the configured SoC (shorthand for
-     *  mutating soc().kernel; composes with a prior soc() call). */
-    Experiment &kernel(sim::SimKernel k);
-
-    /** Memory-hierarchy model spec of the configured SoC
-     *  (mem::MemoryModelRegistry grammar, e.g. "flat" or
-     *  "banked:banks=16,remap=mod"; shorthand for mutating
-     *  soc().memModel, composes with a prior soc() call). */
-    Experiment &mem(std::string spec);
-
-    /** Telemetry sampling cadence in cycles (shorthand for mutating
-     *  soc().sampleEvery; 0 disables).  Each run's sampled
-     *  timeseries comes back in ScenarioResult::telemetry.
-     *  Observational only — metrics are bit-identical either way. */
-    Experiment &sampleEvery(Cycles every);
-
     /** Trace-generation parameters (workload set, QoS, tasks, seed). */
     Experiment &trace(const workload::TraceConfig &tc);
 
@@ -120,59 +75,8 @@ class Experiment
     /** Append one policy spec. */
     Experiment &policy(std::string spec);
 
-    /**
-     * Replay this pre-generated job stream instead of generating one
-     * from trace() — e.g. a stream mutated by the caller, or one
-     * shared with other experiments.
-     */
-    Experiment &
-    withTrace(std::shared_ptr<const std::vector<sim::JobSpec>> specs);
-    Experiment &withTrace(std::vector<sim::JobSpec> specs);
-
-    /** Row label recorded in streamed sink records. */
-    Experiment &label(std::string text);
-
     /** Worker threads (0 = hardware concurrency; default 1). */
     Experiment &jobs(int n);
-
-    /** Per-cell progress lines while running. */
-    Experiment &verbose(bool on);
-
-    /** Attach a streaming result sink (not owned; repeatable). */
-    Experiment &sink(ResultSink *s);
-
-    // --- Fleet (cluster) mode -----------------------------------------
-
-    /**
-     * Co-simulate `n` copies of the configured SoC instead of one
-     * (cluster fleet mode; see cluster/cluster.h).  Results come from
-     * runFleet(); run() is the single-SoC path and rejects a cluster
-     * configuration.
-     */
-    Experiment &cluster(int n);
-
-    /** Front-end dispatcher spec (DispatcherRegistry grammar,
-     *  default "rr"); implies cluster mode. */
-    Experiment &dispatcher(std::string spec);
-
-    /**
-     * Worker threads of each fleet run's conservative-PDES engine
-     * (ClusterConfig::jobs; see cluster/parallel.h): shards the SoCs
-     * *inside* one cluster co-simulation, whereas jobs(N)
-     * parallelizes *across* policy specs — the two compose.  Results
-     * are bit-identical for every value; must be >= 1 (fatal
-     * otherwise).  Implies cluster mode.
-     */
-    Experiment &clusterJobs(int n);
-
-    /**
-     * Synthesize the fleet's task stream open-loop (cluster/workload.h)
-     * instead of replaying trace()/withTrace().  fleetTiles == 0 is
-     * auto-filled with cluster-size x SoC tiles.  The synth's own
-     * seed drives both the stream and the dispatcher; without a
-     * synth config, the trace() seed does.
-     */
-    Experiment &fleetWorkload(const cluster::SynthConfig &synth);
 
     /**
      * Validate every spec, run all policies on the identical job
@@ -181,29 +85,11 @@ class Experiment
      */
     ExperimentResults run() const;
 
-    /**
-     * Run the cluster fleet once per policy spec — every policy sees
-     * the identical task stream and dispatcher configuration — and
-     * return the ClusterResults keyed by spec string.  jobs(N)
-     * parallelizes across policies; each fleet co-simulation itself
-     * runs on clusterJobs(N) PDES shards and is bit-identically
-     * deterministic for every shard count.
-     */
-    FleetResults runFleet() const;
-
   private:
     sim::SocConfig soc_;
     workload::TraceConfig trace_;
     std::vector<std::string> policies_;
-    std::shared_ptr<const std::vector<sim::JobSpec>> stream_;
-    std::string label_ = "experiment";
     SweepOptions opts_;
-    std::vector<ResultSink *> sinks_;
-    int cluster_ = 0; ///< Fleet size; 0 = single-SoC mode.
-    int cluster_jobs_ = 1; ///< PDES shards per fleet run.
-    std::string dispatcher_ = "rr";
-    cluster::SynthConfig synth_;
-    bool synthSet_ = false;
 };
 
 } // namespace moca::exp

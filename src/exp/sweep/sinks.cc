@@ -25,16 +25,26 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+/** Write `text` to `path`; fatal, naming the path, on failure. */
 void
 writeTextFile(const std::string &path, const std::string &text)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        warn("cannot write %s", path.c_str());
-        return;
-    }
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
+    if (f == nullptr)
+        fatal("cannot write %s", path.c_str());
+    const bool written =
+        std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    if (std::fclose(f) != 0 || !written)
+        fatal("cannot write %s", path.c_str());
+}
+
+/** Create (truncate) the sink's file up front, so an unwritable path
+ *  fails before the first cell runs. */
+void
+claimOutputFile(const std::string &path)
+{
+    if (!path.empty())
+        writeTextFile(path, "");
 }
 
 } // namespace
@@ -179,6 +189,7 @@ TableSink::finish()
 CsvSink::CsvSink(std::string path)
     : path_(std::move(path)), table_(sweepRecordFields())
 {
+    claimOutputFile(path_);
 }
 
 void
@@ -200,12 +211,15 @@ void
 CsvSink::finish()
 {
     if (!path_.empty())
-        table_.writeCsv(path_);
+        writeTextFile(path_, table_.csv());
 }
 
 // ---- JsonSink --------------------------------------------------------
 
-JsonSink::JsonSink(std::string path) : path_(std::move(path)) {}
+JsonSink::JsonSink(std::string path) : path_(std::move(path))
+{
+    claimOutputFile(path_);
+}
 
 void
 JsonSink::onResult(std::size_t index, const SweepCell &cell,

@@ -47,7 +47,9 @@ class TableSink : public ResultSink
     Table table_;
 };
 
-/** CSV sink: streams one record per cell, writes the file on finish. */
+/** CSV sink: streams one record per cell, writes the file on finish.
+ *  A non-empty path is created at construction; fatal if it cannot
+ *  be written. */
 class CsvSink : public ResultSink
 {
   public:
@@ -65,7 +67,8 @@ class CsvSink : public ResultSink
     Table table_;
 };
 
-/** JSON sink: an array of per-cell objects, written on finish. */
+/** JSON sink: an array of per-cell objects, written on finish.
+ *  Same path contract as CsvSink. */
 class JsonSink : public ResultSink
 {
   public:

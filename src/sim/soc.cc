@@ -513,9 +513,8 @@ Soc::schedulingPoints(Cycles horizon)
         // Idle-advance to the next arrival, but never past a periodic
         // tick (the tick cadence stays exact across idle gaps) or the
         // caller's horizon (a co-simulator may inject work there).
-        Cycles target = std::min(na, next_sched_tick_);
-        if (horizon != 0)
-            target = std::min(target, horizon);
+        const Cycles target =
+            std::min({na, next_sched_tick_, horizon});
         now_ = std::max(now_, target);
         return false;
     }
@@ -772,8 +771,7 @@ Soc::stepQuantum(Cycles horizon)
     step = std::min<Cycles>(step, next_sched_tick_ - now_);
     // The horizon acts like one more pending arrival: a cluster
     // front-end may place a task on this SoC at that cycle.
-    if (horizon != 0)
-        step = std::min<Cycles>(step, horizon - now_);
+    step = std::min<Cycles>(step, horizon - now_);
     step = std::max<Cycles>(step, 1);
 
     computeDemands(running, step, entries_scratch_);
@@ -805,12 +803,10 @@ Soc::stepEvent(Cycles horizon)
     // arithmetic.  Persistent events would not survive the grid
     // shift anyway: gridCeil() is now_-relative, and now_ lands
     // off-grid at raw arrival/tick steps.
-    Cycles next = next_sched_tick_;
+    Cycles next = std::min(next_sched_tick_, horizon);
     const Cycles na = nextArrivalCycle();
     if (na != kNoArrival)
         next = std::min(next, na);
-    if (horizon != 0)
-        next = std::min(next, horizon);
     // A stateful memory model (e.g. banked row-locality) bounds the
     // step so its internal state is re-sampled often enough; the
     // stateless flat model returns 0 and adds no bound, keeping the
@@ -967,7 +963,7 @@ Soc::stepOnce(Cycles horizon)
         panic("stepOnce before beginRun");
     if (allDone())
         return false;
-    if (horizon != 0 && now_ >= horizon)
+    if (now_ >= horizon)
         panic("stepOnce: now=%llu is at/past horizon %llu",
               static_cast<unsigned long long>(now_),
               static_cast<unsigned long long>(horizon));
@@ -985,11 +981,6 @@ Soc::stepOnce(Cycles horizon)
 void
 Soc::advanceTo(Cycles horizon)
 {
-    // stepOnce treats horizon 0 as "unbounded", so the all-ones
-    // kNoHorizon sentinel is what keeps this a single code path: it
-    // flows through every min() clamp without ever binding (now()
-    // is bounded by run_max_cycles_ ~ 1e12), which is bit-identical
-    // to the unbounded stepOnce(0) mode the old drain loop used.
     while (!allDone() && now_ < horizon)
         stepOnce(horizon);
 }
@@ -1045,8 +1036,7 @@ void
 Soc::run(Cycles max_cycles)
 {
     beginRun(max_cycles);
-    while (stepOnce()) {
-    }
+    advanceTo(kNoHorizon);
     finishRun();
 }
 

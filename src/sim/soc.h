@@ -14,7 +14,7 @@
  * (latency = max(C, M) + f * min(C, M), Algorithm 1 semantics).
  *
  * The *quantum* kernel steps fixed cfg.quantum chunks, so cost scales
- * with simulated cycles.  The *event* kernel (sim/event_queue.h)
+ * with simulated cycles.  The *event* kernel (Soc::stepEvent)
  * advances time directly to the earliest upcoming state change — next
  * arrival, periodic scheduler tick, stall expiry, layer completion,
  * binding throttle-window rollover — rounded up to the quantum grid;
@@ -99,9 +99,9 @@ class Soc
 
     // --- Resumable stepping (cluster co-simulation) -------------------
     //
-    // run() is equivalent to beginRun(); while (stepOnce()) {};
-    // finishRun().  A co-simulator (cluster::Cluster) instead steps
-    // each SoC up to a *horizon* — the next cluster-level event, e.g.
+    // run() is beginRun(); advanceTo(kNoHorizon); finishRun().  A
+    // co-simulator (cluster::Cluster) instead steps each SoC up to a
+    // *horizon* — the next cluster-level event, e.g.
     // the arrival of a task the front-end dispatcher has not placed
     // yet — injects the task into the chosen SoC at its exact
     // dispatch cycle, and resumes stepping.  Because stepOnce(h)
@@ -127,17 +127,18 @@ class Soc
     /**
      * Execute one kernel iteration (one demand/arbitrate/advance
      * round, or one idle/scheduling advance), never moving now()
-     * past `horizon` (0 = unbounded).  Requires now() < horizon.
+     * past `horizon` (kNoHorizon = unbounded).  Requires
+     * now() < horizon.
      * @return true while unfinished jobs remain.
      */
-    bool stepOnce(Cycles horizon = 0);
+    bool stepOnce(Cycles horizon);
 
     /**
-     * Step until done() or now() >= horizon — the hoisted body of the
-     * cluster loop's per-SoC advance, shared by the serial and
-     * sharded (cluster::ParallelEngine) fleet paths.  One loop serves
-     * both modes: kNoHorizon never clamps a step, so draining to
-     * completion takes exactly the bounded code path.  A horizon of 0
+     * Step until done() or now() >= horizon — the one stepping loop,
+     * shared by run() and the serial and sharded
+     * (cluster::ParallelEngine) fleet paths.  kNoHorizon never clamps
+     * a step, so draining to completion takes exactly the bounded
+     * code path.  A horizon of 0
      * is a no-op (now() is never below it), matching "advance to an
      * arrival at cycle 0".
      */

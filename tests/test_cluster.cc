@@ -12,9 +12,9 @@
 #include "cluster/cluster.h"
 #include "cluster/dispatcher.h"
 #include "cluster/workload.h"
-#include "exp/experiment.h"
 #include "exp/oracle.h"
 #include "exp/scenario.h"
+#include "exp/sweep/sweep.h"
 #include "sim/soc.h"
 
 using namespace moca;
@@ -345,8 +345,7 @@ TEST(SocStepping, HorizonBoundsTimeAndInjectionResumes)
     spec.id = 1;
     spec.dispatch = horizon;
     soc.injectJob(spec);
-    while (!soc.done())
-        soc.stepOnce();
+    soc.advanceTo(sim::kNoHorizon);
     soc.finishRun();
 
     ASSERT_EQ(soc.results().size(), 2u);
@@ -361,7 +360,7 @@ TEST(SocStepping, MisuseDies)
     sim::JobSpec spec;
     spec.id = 0;
     spec.model = &dnn::getModel(dnn::ModelId::Kws);
-    EXPECT_DEATH(soc.stepOnce(), "before beginRun");
+    EXPECT_DEATH(soc.stepOnce(sim::kNoHorizon), "before beginRun");
     EXPECT_DEATH(soc.injectJob(spec), "before beginRun");
 }
 
@@ -420,26 +419,32 @@ TEST(ClusterDeterminism, RepeatedRunsAreBitIdentical)
     }
 }
 
-TEST(ClusterDeterminism, FleetExperimentIdenticalAcrossJobs)
+TEST(ClusterDeterminism, PolicyGridIdenticalAcrossJobs)
 {
-    // Same seed + same --jobs contract, and jobs=1 vs jobs=4: the
-    // policy-level parallelism must not perturb any fleet result.
+    // cluster_scale's --jobs path: one fleet run per policy, fanned
+    // out over SweepRunner::runIndexed.  jobs=1 vs jobs=4 must not
+    // perturb any fleet result.
+    const sim::SocConfig cfg = testSoc(sim::SimKernel::Event);
+    const auto tasks = synthTasks(testSynth(250, 4 * cfg.numTiles, 17), cfg);
+    const std::vector<std::string> policies = {"moca", "prema",
+                                               "planaria"};
     const auto run = [&](int jobs) {
-        return exp::Experiment()
-            .soc(testSoc(sim::SimKernel::Event))
-            .cluster(4)
-            .dispatcher("least-loaded")
-            .fleetWorkload(testSynth(250, 0, 17))
-            .policies({"moca", "prema", "planaria"})
-            .jobs(jobs)
-            .runFleet();
+        std::vector<ClusterResult> out(policies.size());
+        exp::SweepRunner::runIndexed(
+            policies.size(), jobs, [&](std::size_t i) {
+                ClusterConfig cc = ClusterConfig::homogeneous(4, cfg);
+                cc.policy = policies[i];
+                cc.dispatcher = "least-loaded";
+                cc.dispatcherSeed = 17;
+                out[i] = cluster::runCluster(cc, tasks);
+            });
+        return out;
     };
     const auto serial = run(1);
     const auto parallel = run(4);
-    ASSERT_EQ(serial.size(), 3u);
-    for (const std::string policy : {"moca", "prema", "planaria"}) {
-        ASSERT_TRUE(serial.has(policy));
-        expectIdentical(serial[policy], parallel[policy]);
+    for (std::size_t i = 0; i < policies.size(); ++i) {
+        SCOPED_TRACE(policies[i]);
+        expectIdentical(serial[i], parallel[i]);
     }
 }
 
@@ -558,13 +563,4 @@ TEST(Cluster, UnsortedTasksDie)
     ClusterConfig cc = ClusterConfig::homogeneous(2, cfg);
     EXPECT_DEATH((void)cluster::runCluster(cc, tasks),
                  "sorted by arrival");
-}
-
-TEST(Experiment, SingleSocRunRejectsClusterConfig)
-{
-    EXPECT_DEATH((void)exp::Experiment()
-                     .cluster(4)
-                     .policy("moca")
-                     .run(),
-                 "use\\s+runFleet");
 }

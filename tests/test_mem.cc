@@ -469,10 +469,13 @@ TEST(BankedKernels, ParallelEqualsSerial)
     trace.numTasks = 24;
     trace.seed = 9;
 
+    sim::SocConfig cfg;
+    cfg.memModel = "banked:banks=16";
+
     auto run = [&](int jobs) {
         return exp::Experiment()
+            .soc(cfg)
             .trace(trace)
-            .mem("banked:banks=16")
             .policies({"moca", "prema", "planaria"})
             .jobs(jobs)
             .run();

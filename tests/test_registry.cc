@@ -207,9 +207,10 @@ TEST(PolicyRegistry, DefaultParamsReproduceBareSpec)
 
 TEST(Experiment, MatchesRunTraceBitExactlyOnFig5Cell)
 {
-    // One fig5 cell (Workload-A / QoS-M): the fluent builder must
-    // reproduce the pre-redesign runTrace path bit for bit, for
-    // every policy on the identical stream.
+    // One fig5 cell (Workload-A / QoS-M): the fluent builder, which
+    // generates the stream from soc + trace, must reproduce the
+    // low-level runTrace path on that same stream bit for bit, for
+    // every policy.
     const sim::SocConfig cfg;
     const auto t = smallTrace(workload::WorkloadSet::A,
                               workload::QosLevel::Medium, 40, 1);
@@ -219,7 +220,6 @@ TEST(Experiment, MatchesRunTraceBitExactlyOnFig5Cell)
                              .soc(cfg)
                              .trace(t)
                              .policies(allPolicySpecs())
-                             .withTrace(stream)
                              .jobs(2)
                              .run();
     ASSERT_EQ(results.size(), allPolicySpecs().size());

@@ -267,5 +267,16 @@ TEST(Sinks, JsonRoundTrip)
     EXPECT_NE(text.find("\"policy\": \"moca\""), std::string::npos);
 }
 
+TEST(Sinks, UnwritablePathDiesBeforeAnyCellRuns)
+{
+    // The bench sinks are built before the grid runs, so a bad
+    // --csv/--json path must fail at construction, naming the path,
+    // before any cell is simulated.
+    EXPECT_DEATH(CsvSink("no_such_sweep_dir/out.csv"),
+                 "cannot write no_such_sweep_dir/out.csv");
+    EXPECT_DEATH(JsonSink("no_such_sweep_dir/out.json"),
+                 "cannot write no_such_sweep_dir/out.json");
+}
+
 } // namespace
 } // namespace moca::exp
