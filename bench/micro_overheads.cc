@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "dnn/model_zoo.h"
 #include "exp/sweep/sweep.h"
+#include "mem/banked.h"
 #include "obs/profile.h"
 #include "moca/hw/throttle_engine.h"
 #include "moca/runtime/contention_manager.h"
@@ -136,6 +137,32 @@ BM_Arbiter_MaxMin(benchmark::State &state)
             sim::allocateBandwidth(demands, 8192.0));
 }
 BENCHMARK(BM_Arbiter_MaxMin)->Arg(4)->Arg(8);
+
+void
+BM_Banked_Arbitrate(benchmark::State &state, double bytes)
+{
+    // One banked-model step for n co-runners on the default 8 DRAM
+    // and 8 L2 banks: 16 KiB demands span every bank (one run per
+    // bank array); 2 KiB demands span two banks from scattered home
+    // banks, so the arrays split into several runs.
+    const auto n = static_cast<int>(state.range(0));
+    mem::BankedMemoryModel model(kCfg, mem::BankedConfig());
+    std::vector<mem::MemRequest> requests;
+    for (int i = 0; i < n; ++i)
+        requests.push_back({i, bytes, bytes, 4.0});
+    mem::MemStepStats stats;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            model.arbitrate(requests, 512, stats).data());
+}
+BENCHMARK_CAPTURE(BM_Banked_Arbitrate, full_span, 16384.0)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8);
+BENCHMARK_CAPTURE(BM_Banked_Arbitrate, partial_span, 2048.0)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8);
 
 void
 BM_SweepEngine_RunIndexed(benchmark::State &state)

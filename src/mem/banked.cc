@@ -74,11 +74,6 @@ BankedMemoryModel::BankedMemoryModel(const sim::SocConfig &cfg,
               "(resolved hit=%.3f miss=%.3f)", hitBpc_, missBpc_);
     traffic_.bankBytes.assign(static_cast<std::size_t>(bc_.banks),
                               0.0);
-    bankDemand_.resize(static_cast<std::size_t>(bc_.banks));
-    bankTotal_.resize(static_cast<std::size_t>(bc_.banks));
-    bankGranted_.resize(static_cast<std::size_t>(bc_.banks));
-    l2Demand_.resize(
-        static_cast<std::size_t>(std::max(1, cfg_.l2Banks)));
 }
 
 int
@@ -105,8 +100,8 @@ BankedMemoryModel::bankSpan(double bytes, int num_banks) const
 double
 BankedMemoryModel::locality(int id) const
 {
-    const auto it = locality_.find(id);
-    return it == locality_.end() ? 1.0 : it->second;
+    const auto idx = static_cast<std::size_t>(id);
+    return id >= 0 && idx < locality_.size() ? locality_[idx] : 1.0;
 }
 
 double
@@ -114,6 +109,39 @@ BankedMemoryModel::serviceRate(int id) const
 {
     const double loc = locality(id);
     return loc * hitBpc_ + (1.0 - loc) * missBpc_;
+}
+
+template <typename Visit>
+void
+BankedMemoryModel::forEachRun(const std::vector<Span> &spans, int banks,
+                              Visit &&visit)
+{
+    runStart_.assign(static_cast<std::size_t>(banks), 0);
+    runStart_[0] = 1;
+    for (const Span &s : spans) {
+        if (s.k > 0 && s.k < banks) {
+            const int end = s.home + s.k;
+            runStart_[static_cast<std::size_t>(s.home)] = 1;
+            runStart_[static_cast<std::size_t>(
+                end < banks ? end : end - banks)] = 1;
+        }
+    }
+    for (int first = 0; first < banks;) {
+        int last = first + 1;
+        while (last < banks && !runStart_[static_cast<std::size_t>(last)])
+            ++last;
+        members_.clear();
+        for (std::size_t i = 0; i < spans.size(); ++i) {
+            int offset = first - spans[i].home;
+            if (offset < 0)
+                offset += banks;
+            if (offset < spans[i].k)
+                members_.push_back(i);
+        }
+        if (!members_.empty())
+            visit(first, last, members_);
+        first = last;
+    }
 }
 
 const std::vector<MemGrant> &
@@ -128,34 +156,35 @@ BankedMemoryModel::arbitrate(const std::vector<MemRequest> &requests,
     if (n == 0 || q <= 0.0)
         return grants;
 
-    // Locality resolved once per step: every phase below (service
+    // ---- Spans: every request's DRAM and L2 interleave span ----------
+    //
+    // Locality is resolved once per step: every phase below (service
     // rates, channel clamp, counters, relaxation targets) reads the
-    // pre-step state, and the map is touched once per requester.
-    loc_.assign(n, 1.0);
-    for (std::size_t i = 0; i < n; ++i)
-        loc_[i] = locality(requests[i].id);
-    const auto rate = [&](std::size_t i) {
-        return loc_[i] * hitBpc_ + (1.0 - loc_[i]) * missBpc_;
-    };
-
-    // ---- DRAM: route demand spans onto banks -------------------------
-    const auto banks = static_cast<std::size_t>(bc_.banks);
-    for (auto &bd : bankDemand_)
-        bd.clear();
-    bankTotal_.assign(banks, 0.0);
+    // pre-step state.
+    const int banks = bc_.banks;
+    const int l2banks = std::max(1, cfg_.l2Banks);
+    loc_.resize(n);
+    dramSpan_.resize(n);
+    l2Span_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
+        const int id = requests[i].id;
+        if (id < 0)
+            panic("banked: requester id %d is negative (MemRequest::id "
+                  "must be a non-negative requester index)", id);
+        loc_[i] = locality(id);
         const double d = requests[i].dramBytes;
-        const int k = bankSpan(d, bc_.banks);
-        if (k == 0)
-            continue;
-        const double share = d / k;
-        const int h = homeBank(requests[i].id);
-        for (int j = 0; j < k; ++j) {
-            const auto b = static_cast<std::size_t>(
-                (h + j) % bc_.banks);
-            bankDemand_[b].push_back({i, share});
-            bankTotal_[b] += share;
-        }
+        Span &s = dramSpan_[i];
+        s.k = bankSpan(d, banks);
+        s.home = s.k > 0 ? homeBank(id) : 0;
+        s.share = s.k > 0 ? d / s.k : 0.0;
+        const double l2 = requests[i].l2Bytes;
+        Span &t = l2Span_[i];
+        t.k = bankSpan(l2, l2banks);
+        t.home = t.k > 0
+            ? static_cast<int>(mixId(static_cast<std::uint64_t>(id)) %
+                               static_cast<std::uint64_t>(l2banks))
+            : 0;
+        t.share = t.k > 0 ? l2 / t.k : 0.0;
     }
 
     // ---- DRAM: per-bank service-time arbitration ---------------------
@@ -164,27 +193,41 @@ BankedMemoryModel::arbitrate(const std::vector<MemRequest> &requests,
     // bytes cost time at its locality-blended rate, so low-locality
     // requesters occupy the bank longer for the same data — the
     // mechanism by which interleaving hurts everyone sharing a bank.
-    bankGranted_.assign(banks, 0.0);
-    for (std::size_t b = 0; b < banks; ++b) {
-        const auto &slices = bankDemand_[b];
-        if (slices.empty())
-            continue;
+    // Banks of one run see identical inputs and share one allocation;
+    // grants still accumulate bank by bank, in the per-bank order.
+    bankTotal_.assign(static_cast<std::size_t>(banks), 0.0);
+    bankGranted_.assign(static_cast<std::size_t>(banks), 0.0);
+    // serviceRate() still reads the pre-step locality here: the
+    // relaxation below runs after the DRAM allocation.
+    forEachRun(dramSpan_, banks, [&](int first, int last,
+                                     const std::vector<std::size_t> &m) {
+        double total = 0.0;
         treq_.clear();
-        treq_.reserve(slices.size());
-        for (const auto &s : slices)
+        for (const std::size_t i : m) {
+            total += dramSpan_[i].share;
             treq_.push_back(
-                {s.bytes / rate(s.req), requests[s.req].weight});
+                {dramSpan_[i].share / serviceRate(requests[i].id),
+                 requests[i].weight});
+        }
         if (cfg_.dramProportionalArbitration)
             sim::allocateBandwidthProportional(treq_, q, tgrant_);
         else
             sim::allocateBandwidth(treq_, q, tgrant_);
-        for (std::size_t s = 0; s < slices.size(); ++s) {
-            const double bytes = std::min(
-                slices[s].bytes, tgrant_[s] * rate(slices[s].req));
-            grants[slices[s].req].dramBytes += bytes;
-            bankGranted_[b] += bytes;
+        // Service time granted -> bytes, in place.
+        double granted = 0.0;
+        for (std::size_t s = 0; s < m.size(); ++s) {
+            tgrant_[s] = std::min(
+                dramSpan_[m[s]].share,
+                tgrant_[s] * serviceRate(requests[m[s]].id));
+            granted += tgrant_[s];
         }
-    }
+        for (int b = first; b < last; ++b) {
+            bankTotal_[static_cast<std::size_t>(b)] = total;
+            bankGranted_[static_cast<std::size_t>(b)] = granted;
+            for (std::size_t s = 0; s < m.size(); ++s)
+                grants[m[s]].dramBytes += tgrant_[s];
+        }
+    });
 
     // ---- DRAM: shared-channel clamp ----------------------------------
     //
@@ -219,7 +262,7 @@ BankedMemoryModel::arbitrate(const std::vector<MemRequest> &requests,
     }
 
     // ---- DRAM: traffic counters --------------------------------------
-    for (std::size_t b = 0; b < banks; ++b)
+    for (std::size_t b = 0; b < bankGranted_.size(); ++b)
         traffic_.bankBytes[b] += bankGranted_[b];
     for (std::size_t i = 0; i < n; ++i) {
         const double g = grants[i].dramBytes;
@@ -242,59 +285,42 @@ BankedMemoryModel::arbitrate(const std::vector<MemRequest> &requests,
     const double alpha =
         1.0 - std::exp(-q / static_cast<double>(bc_.localityTau));
     for (std::size_t i = 0; i < n; ++i) {
-        const double d = requests[i].dramBytes;
-        const int k = bankSpan(d, bc_.banks);
-        if (k == 0)
+        const Span &s = dramSpan_[i];
+        if (s.k == 0)
             continue;
-        const double share = d / k;
-        const int h = homeBank(requests[i].id);
         double other = 0.0;
-        for (int j = 0; j < k; ++j)
-            other += bankTotal_[static_cast<std::size_t>(
-                         (h + j) % bc_.banks)] -
-                share;
+        for (int j = 0, b = s.home; j < s.k; ++j) {
+            other += bankTotal_[static_cast<std::size_t>(b)] - s.share;
+            if (++b == banks)
+                b = 0;
+        }
+        const double d = requests[i].dramBytes;
         const double target = d / (d + other);
-        const auto it =
-            locality_.try_emplace(requests[i].id, 1.0).first;
-        it->second += alpha * (target - it->second);
+        const auto id = static_cast<std::size_t>(requests[i].id);
+        if (id >= locality_.size())
+            locality_.resize(id + 1, 1.0);
+        locality_[id] += alpha * (target - locality_[id]);
     }
 
     // ---- L2: per-bank-port arbitration -------------------------------
-    const auto l2banks = static_cast<std::size_t>(
-        std::max(1, cfg_.l2Banks));
-    for (auto &ld : l2Demand_)
-        ld.clear();
     double l2_total_demand = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double d = requests[i].l2Bytes;
-        l2_total_demand += d;
-        const int k = bankSpan(d, static_cast<int>(l2banks));
-        if (k == 0)
-            continue;
-        const double share = d / k;
-        const int h = static_cast<int>(
-            mixId(static_cast<std::uint64_t>(requests[i].id)) %
-            l2banks);
-        for (int j = 0; j < k; ++j)
-            l2Demand_[(static_cast<std::size_t>(h) + j) % l2banks]
-                .push_back({i, share});
-    }
+    for (const auto &r : requests)
+        l2_total_demand += r.l2Bytes;
     const double l2_bank_cap = cfg_.l2BankBytesPerCycle * q;
     double l2_granted = 0.0;
-    for (std::size_t b = 0; b < l2banks; ++b) {
-        const auto &slices = l2Demand_[b];
-        if (slices.empty())
-            continue;
+    forEachRun(l2Span_, l2banks, [&](int first, int last,
+                                     const std::vector<std::size_t> &m) {
         treq_.clear();
-        treq_.reserve(slices.size());
-        for (const auto &s : slices)
-            treq_.push_back({s.bytes, requests[s.req].weight});
+        for (const std::size_t i : m)
+            treq_.push_back({l2Span_[i].share, requests[i].weight});
         sim::allocateBandwidth(treq_, l2_bank_cap, tgrant_);
-        for (std::size_t s = 0; s < slices.size(); ++s) {
-            grants[slices[s].req].l2Bytes += tgrant_[s];
-            l2_granted += tgrant_[s];
+        for (int b = first; b < last; ++b) {
+            for (std::size_t s = 0; s < m.size(); ++s) {
+                grants[m[s]].l2Bytes += tgrant_[s];
+                l2_granted += tgrant_[s];
+            }
         }
-    }
+    });
     // Conflict loss: what the aggregate (flat) L2 bandwidth would
     // have served but concentrated bank-port demand did not.
     const double flat_l2 =

@@ -39,13 +39,17 @@
  * the same way (interleaved spans, per-bank max-min at the per-bank
  * bandwidth, no row state); service lost relative to the aggregate
  * L2 bandwidth is counted as bank-conflict loss.
+ *
+ * Cost.  Banks between two consecutive partial-span boundaries serve
+ * the same requesters with the same inputs, so a step allocates once
+ * per such run, not once per bank: when every span covers all banks
+ * (long-horizon steps), DRAM and L2 each take one allocation.
  */
 
 #ifndef MOCA_MEM_BANKED_H
 #define MOCA_MEM_BANKED_H
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -128,31 +132,46 @@ class BankedMemoryModel : public MemoryModel
     double serviceRate(int id) const;
 
   private:
+    /** One request's interleave span over a bank array for a step. */
+    struct Span
+    {
+        int home = 0;       ///< First bank of the span.
+        int k = 0;          ///< Banks spanned (0 = no demand).
+        double share = 0.0; ///< Demand routed to each spanned bank.
+    };
+
+    /**
+     * Call `visit(first, last, members)` once per run [first, last)
+     * of banks, ascending.  A bank starts a run where some partial
+     * span starts or ends (bank 0 always does), so every bank of a
+     * run is covered by the same requesters; `members` lists them in
+     * ascending request order.  Runs nobody covers are skipped.
+     */
+    template <typename Visit>
+    void forEachRun(const std::vector<Span> &spans, int banks,
+                    Visit &&visit);
+
     sim::SocConfig cfg_;
     BankedConfig bc_;
     double hitBpc_ = 0.0;  ///< Resolved row-hit rate.
     double missBpc_ = 0.0; ///< Resolved row-miss rate.
 
-    /** Per-requester streaming-locality state in [0, 1]. */
-    std::map<int, double> locality_;
+    /** Per-requester streaming-locality state in [0, 1], indexed by
+     *  requester id; ids past the end are unseen (locality 1). */
+    std::vector<double> locality_;
 
     /** High-resolution row-activation accumulators behind the
      *  integer MemTraffic counters. */
     double rowHitAcc_ = 0.0;
     double rowMissAcc_ = 0.0;
 
-    /** One requester's slice of one bank's demand for a step. */
-    struct Slice
-    {
-        std::size_t req; ///< Index into the request vector.
-        double bytes;    ///< Demand routed to this bank.
-    };
-
     // Per-step scratch, reused across arbitrate() calls: arbitrate
     // runs once per simulation step, so fresh allocations here would
     // dominate the model's cost on long-horizon runs.
-    std::vector<std::vector<Slice>> bankDemand_; ///< Per DRAM bank.
-    std::vector<std::vector<Slice>> l2Demand_;   ///< Per L2 bank.
+    std::vector<Span> dramSpan_; ///< Per request, over DRAM banks.
+    std::vector<Span> l2Span_;   ///< Per request, over L2 banks.
+    std::vector<char> runStart_;
+    std::vector<std::size_t> members_;
     std::vector<double> bankTotal_;
     std::vector<double> bankGranted_;
     std::vector<double> loc_; ///< Per-request locality snapshot.

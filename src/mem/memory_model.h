@@ -62,8 +62,10 @@ using MemParam = moca::SpecParam;
 /** One requester's byte demand for a step. */
 struct MemRequest
 {
-    /** Requester (job) id — stable across steps, so stateful models
-     *  can track per-requester state such as streaming locality. */
+    /** Requester (job) id: a non-negative requester index, stable
+     *  across steps, so stateful models can track per-requester state
+     *  such as streaming locality in a dense per-id table.  The Soc
+     *  passes its job index. */
     int id = -1;
     double dramBytes = 0.0; ///< DRAM demand over the horizon.
     double l2Bytes = 0.0;   ///< L2 demand over the horizon.

@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "common/rng.h"
 #include "exp/experiment.h"
@@ -393,6 +395,112 @@ TEST(BankedModel, PropertyGrantsFeasible)
         EXPECT_LE(dram_sum, cfg.dramBytesPerCycle * q + 1e-6);
         EXPECT_LE(l2_sum, cfg.l2BytesPerCycle() * q + 1e-6);
     }
+}
+
+using BankedModelDeathTest = ::testing::Test;
+
+TEST(BankedModelDeathTest, NegativeRequesterIdPanics)
+{
+    // MemRequest::id is a non-negative requester index; a negative
+    // one must not index bank -1 (remap=mod computes id % banks).
+    BankedConfig bc;
+    bc.remap = BankRemap::Mod;
+    BankedMemoryModel model(defaultCfg(), bc);
+    MemStepStats stats;
+    EXPECT_DEATH((void)model.arbitrate({{-1, 4096.0, 4096.0, 1.0}},
+                                       512, stats),
+                 "requester id -1 is negative");
+}
+
+// ---- banked: bit-exact grant digest ----------------------------------
+
+/** FNV-1a over the bytes of 64-bit words. */
+class Fnv1a
+{
+  public:
+    void word(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h_ ^= (v >> (8 * i)) & 0xFF;
+            h_ *= 0x100000001B3ULL;
+        }
+    }
+    void bits(double d)
+    {
+        std::uint64_t u = 0;
+        std::memcpy(&u, &d, sizeof(u));
+        word(u);
+    }
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0xCBF29CE484222325ULL;
+};
+
+TEST(BankedModel, GrantsBitIdenticalToParent)
+{
+    // Pins the exact floating-point output of the banked model over
+    // the configurations the fleet benchmarks never reach: partial
+    // and wrapping spans (demands up to 64 KiB against 1 KiB rows),
+    // remap=mod home-bank collisions, max-min DRAM arbitration, and
+    // horizon changes between steps.  The expected value is the
+    // digest of the per-bank arbitration that the run-deduplicating
+    // one replaced; reordering one floating-point sum changes it.
+    Rng rng(2024);
+    Fnv1a h;
+    const double kib64 = 64.0 * 1024.0;
+    auto demand = [&] {
+        // One draw in ten is zero; the cube skews the rest small so
+        // many spans cover only some of the banks.
+        if (rng.uniformInt(0, 9) == 0)
+            return 0.0;
+        const double u = rng.uniform();
+        return kib64 * u * u * u;
+    };
+    for (int trial = 0; trial < 500; ++trial) {
+        sim::SocConfig cfg;
+        cfg.dramProportionalArbitration = rng.uniformInt(0, 1) == 1;
+        BankedConfig bc;
+        bc.banks = std::vector<int>{4, 8, 16}[static_cast<std::size_t>(
+            rng.uniformInt(0, 2))];
+        bc.remap = rng.uniformInt(0, 1) == 1 ? BankRemap::Mod
+                                             : BankRemap::Xor;
+        BankedMemoryModel model(cfg, bc);
+
+        const int n = static_cast<int>(rng.uniformInt(1, 12));
+        std::vector<int> ids;
+        while (static_cast<int>(ids.size()) < n) {
+            const int id = static_cast<int>(rng.uniformInt(0, 40));
+            if (std::find(ids.begin(), ids.end(), id) == ids.end())
+                ids.push_back(id);
+        }
+        MemStepStats stats;
+        for (int step = 0; step < 3; ++step) {
+            std::vector<MemRequest> reqs;
+            for (const int id : ids)
+                reqs.push_back({id, demand(), demand(),
+                                static_cast<double>(
+                                    rng.uniformInt(1, 8))});
+            const auto horizon =
+                static_cast<Cycles>(rng.uniformInt(64, 16384));
+            const auto &g = model.arbitrate(reqs, horizon, stats);
+            ASSERT_EQ(g.size(), reqs.size());
+            for (const auto &gr : g) {
+                h.bits(gr.dramBytes);
+                h.bits(gr.l2Bytes);
+            }
+        }
+        const MemTraffic &t = model.traffic();
+        for (const double b : t.bankBytes)
+            h.bits(b);
+        h.word(t.dramRowHits);
+        h.word(t.dramRowMisses);
+        h.bits(t.l2ConflictLostBytes);
+        for (const int id : ids)
+            h.bits(model.locality(id));
+    }
+    EXPECT_EQ(h.value(), 0xec3f0ff7128ee008ULL)
+        << std::hex << h.value();
 }
 
 // ---- banked under both kernels, determinism --------------------------
