@@ -14,11 +14,11 @@
  * size (tasks-per-soc=1600, i.e. a 102k-task stream at 64 SoCs) over
  * the "wide" model mix (Table III plus the extension profiles);
  * `--big-fleet` extends the default tier to {128, 256} SoCs (a
- * 409.6k-task stream at 256) as the sharded engine's headroom target
+ * 409.6k-task stream at 256) as the parallel engine's headroom target
  * — off in the CI smoke grid.
  *
- * `--cluster-jobs N` shards each fleet across N conservative-PDES
- * workers (cluster/parallel.h); every emitted number is bit-identical
+ * `--cluster-jobs N` advances each fleet on N conservative-PDES
+ * threads (cluster/parallel.h); every emitted number is bit-identical
  * for every N, which CI gates by byte-diffing the `timing=0` JSON of
  * `--cluster-jobs 1` vs `--cluster-jobs 4`.  (`--jobs` parallelizes
  * across grid cells as everywhere else; the two compose.)
@@ -124,7 +124,7 @@ main(int argc, char **argv)
         args, {"prema", "planaria", "moca"});
     const auto dispatchers = exp::dispatchersFromArgs(
         args, {"rr", "p2c", "least-loaded", "qos-aware"});
-    // The {128, 256} headroom tier exists for the sharded engine on
+    // The {128, 256} headroom tier exists for the parallel engine on
     // real multi-core hardware; CI smoke stays on the small tiers.
     const bool big_fleet = args.getBool("big-fleet", false);
     const auto socs_list = parseIntList(

@@ -19,8 +19,8 @@
  * the summary table reports the reference policy's (moca) SLA and
  * goodput margins over the baselines per scenario.
  *
- * `--cluster-jobs N` shards the fleet across N conservative-PDES
- * workers; every emitted number is bit-identical for every N — CI
+ * `--cluster-jobs N` advances the fleet on N conservative-PDES
+ * threads; every emitted number is bit-identical for every N — CI
  * gates this by byte-diffing the `timing=0` JSON of `--cluster-jobs
  * 1` vs `4`, failure injection included.
  *

@@ -14,10 +14,10 @@
  * into the chosen SoC at its exact dispatch cycle, and repeats;
  * after the last arrival the fleet drains to completion.  The
  * advance between dispatch points runs on the conservative-PDES
- * engine (cluster/parallel.h): SoCs are sharded across
- * `ClusterConfig::jobs` workers with an epoch barrier at every
- * arrival, and the run is bit-identical for every jobs value (each
- * SoC's own kernel is deterministic and owned by one worker), so a
+ * engine (cluster/parallel.h): `ClusterConfig::jobs` threads claim
+ * SoCs from a shared cursor with an epoch barrier at every arrival,
+ * and the run is bit-identical for every jobs value (each SoC's own
+ * kernel is deterministic and advanced by one thread per epoch), so a
  * cluster run is a pure function of (configs, dispatcher spec, task
  * stream, seed) — and a 1-SoC cluster replays the single-SoC
  * scenario path bit-identically.
@@ -70,11 +70,13 @@ struct ClusterConfig
     std::uint64_t dispatcherSeed = 1;
 
     /**
-     * Worker threads of the conservative-PDES engine that advances
-     * the fleet between dispatch points (cluster/parallel.h).  SoCs
-     * are sharded across workers; results are bit-identical for
-     * every value (jobs=1 runs the same engine inline, threadless).
-     * Must be >= 1 (fatal otherwise).
+     * Threads of the conservative-PDES engine that advance the fleet
+     * between dispatch points (cluster/parallel.h), the calling
+     * thread included: jobs - 1 workers (at most one per SoC beyond
+     * the first) claim SoCs beside the caller each epoch.  Results
+     * are bit-identical for every value (jobs=1 runs the same
+     * per-SoC code inline, threadless).  Must be >= 1 (fatal
+     * otherwise).
      */
     int jobs = 1;
 
@@ -106,13 +108,17 @@ struct ClusterConfig
 /**
  * Wall-clock breakdown of one fleet run's execution phases (zeros
  * unless ClusterConfig::profile): where the run actually spent its
- * time — workers advancing SoC shards, workers parked at the epoch
- * barrier, and the coordinator placing/injecting tasks.
+ * time, summed over the ClusterConfig::jobs threads that advance
+ * SoCs.  The coordinator is one of them, so its own SoC claims count
+ * in shardAdvanceSec and its wait for the last worker to check in
+ * counts in barrierWaitSec; dispatchSec is its placement and
+ * injection work between epochs (which workers spend parked, so it
+ * also shows up in their barrierWaitSec).
  */
 struct PhaseBreakdown
 {
-    double shardAdvanceSec = 0.0; ///< Workers advancing their SoCs.
-    double barrierWaitSec = 0.0;  ///< Workers waiting at the barrier.
+    double shardAdvanceSec = 0.0; ///< Threads advancing claimed SoCs.
+    double barrierWaitSec = 0.0;  ///< Threads waiting at the barrier.
     double dispatchSec = 0.0;     ///< Coordinator placement+injection.
 };
 

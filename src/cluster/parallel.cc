@@ -18,41 +18,24 @@ ParallelEngine::ParallelEngine(std::vector<sim::Soc *> socs, int jobs,
     for (std::size_t i = 0; i < socs_.size(); ++i)
         if (socs_[i] == nullptr)
             fatal("parallel engine: SoC %zu is null", i);
-    active_.assign(socs_.size(), 1);
-
-    // Contiguous, near-equal shards: SoC i belongs to one shard for
-    // the whole run, so every SoC is only ever touched by one worker
-    // and the shard layout is a pure function of (fleet size, jobs).
-    const std::size_t shards = std::min<std::size_t>(
-        socs_.size(), static_cast<std::size_t>(jobs));
-    const std::size_t base = socs_.size() / shards;
-    const std::size_t rem = socs_.size() % shards;
-    shards_.resize(shards);
-    std::size_t at = 0;
-    for (std::size_t s = 0; s < shards; ++s) {
-        shards_[s].begin = at;
-        at += base + (s < rem ? 1 : 0);
-        shards_[s].end = at;
-    }
 
     // The initial fleet bound, reduced in index order like every
     // later one (a fresh SoC with no jobs reports kNoEvent — the
     // epochs before its first placement are pure dispatcher work).
-    for (Shard &shard : shards_) {
-        for (std::size_t i = shard.begin; i < shard.end; ++i)
-            shard.minNextEvent = std::min(
-                shard.minNextEvent, socs_[i]->nextEventTime());
-    }
-    reduceShardMinima();
+    slots_.resize(socs_.size());
+    for (std::size_t i = 0; i < socs_.size(); ++i)
+        slots_[i].nextEvent = socs_[i]->nextEventTime();
+    reduceSlots();
 
-    // One shard runs inline on the coordinator; only a genuinely
-    // sharded fleet pays for threads.
-    if (shards > 1) {
-        workers_.reserve(shards);
-        for (std::size_t s = 0; s < shards; ++s)
-            workers_.emplace_back(
-                [this, s]() { workerLoop(s); });
-    }
+    // The coordinator is one of the threads; only a fleet with more
+    // than one SoC and more than one job pays for workers.
+    const std::size_t threads = std::min<std::size_t>(
+        socs_.size(), static_cast<std::size_t>(jobs));
+    times_.resize(threads);
+    workers_.reserve(threads - 1);
+    for (std::size_t t = 1; t < threads; ++t)
+        workers_.emplace_back(
+            [this, t]() { workerLoop(times_[t]); });
 }
 
 ParallelEngine::~ParallelEngine()
@@ -69,67 +52,65 @@ ParallelEngine::~ParallelEngine()
 }
 
 void
-ParallelEngine::runShard(Shard &shard)
+ParallelEngine::advanceSoc(std::size_t soc_idx)
+{
+    SocSlot &slot = slots_[soc_idx];
+    slot.stepped = false;
+    if (!slot.active)
+        return; // setActive left its bound at kNoEvent
+    sim::Soc &soc = *socs_[soc_idx];
+    // advanceTo runs >= 1 kernel iteration exactly when the SoC is
+    // unfinished and behind the horizon; recording the predicate
+    // (not a step count) keeps the stat O(1).
+    slot.stepped = !soc.done() && soc.now() < horizon_;
+    soc.advanceTo(horizon_);
+    slot.nextEvent = soc.nextEventTime();
+}
+
+void
+ParallelEngine::claimSocs(ThreadTimes &times)
 {
     WallTimer timer;
-    shard.minNextEvent = sim::kNoEvent;
-    shard.stepped = 0;
-    for (std::size_t i = shard.begin; i < shard.end; ++i) {
-        if (active_[i] == 0)
-            continue;
-        sim::Soc &soc = *socs_[i];
-        // advanceTo runs >= 1 kernel iteration exactly when the SoC
-        // is unfinished and behind the horizon; recording the
-        // predicate (not a step count) keeps the stat O(1).
-        if (!soc.done() && soc.now() < horizon_)
-            ++shard.stepped;
-        soc.advanceTo(horizon_);
-        shard.minNextEvent =
-            std::min(shard.minNextEvent, soc.nextEventTime());
-    }
+    const std::size_t n = socs_.size();
+    for (std::size_t i = cursor_++; i < n; i = cursor_++)
+        advanceSoc(i);
     if (profile_)
-        shard.advanceSec += timer.seconds();
+        times.advanceSec += timer.seconds();
 }
 
 void
-ParallelEngine::workerLoop(std::size_t shard_idx)
+ParallelEngine::workerLoop(ThreadTimes &times)
 {
     std::uint64_t seen = 0;
+    std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-        {
-            WallTimer wait_timer;
-            std::unique_lock<std::mutex> lock(mu_);
-            cv_work_.wait(lock, [&]() {
-                return shutdown_ || generation_ != seen;
-            });
-            // Written under mu_ by the owning worker only; the
-            // coordinator reads it between epochs (phaseTotals).
-            if (profile_)
-                shards_[shard_idx].waitSec += wait_timer.seconds();
-            if (shutdown_)
-                return;
-            seen = generation_;
-        }
-        runShard(shards_[shard_idx]);
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++done_count_;
-        }
-        cv_done_.notify_one();
+        WallTimer wait_timer;
+        cv_work_.wait(lock, [&]() {
+            return shutdown_ || generation_ != seen;
+        });
+        // Written under mu_ by this worker only; the coordinator
+        // reads it between epochs (phaseTotals).
+        if (profile_)
+            times.waitSec += wait_timer.seconds();
+        if (shutdown_)
+            return;
+        seen = generation_;
+        lock.unlock();
+        claimSocs(times);
+        lock.lock();
+        if (++done_count_ == workers_.size())
+            cv_done_.notify_one();
     }
 }
 
 void
-ParallelEngine::reduceShardMinima()
+ParallelEngine::reduceSlots()
 {
-    // Index-order reduction on the coordinator: the fleet bound (and
-    // any future cross-shard aggregate) must never depend on worker
-    // completion order.  min over Cycles is order-insensitive anyway;
-    // the fixed order is the discipline that keeps it so as the
-    // aggregates grow richer.
+    // Index-order reduction on the coordinator: the fleet bound must
+    // never depend on which thread claimed a SoC or finished first.
     Cycles fleet_min = sim::kNoEvent;
-    for (const Shard &shard : shards_)
-        fleet_min = std::min(fleet_min, shard.minNextEvent);
+    for (const SocSlot &slot : slots_)
+        fleet_min = std::min(fleet_min, slot.nextEvent);
     fleet_next_event_ = fleet_min;
 }
 
@@ -140,7 +121,7 @@ ParallelEngine::advanceFleet(Cycles horizon)
     // before the horizon, so every per-SoC advance loop would run
     // zero iterations — skip the barrier round-trip entirely.  This
     // is the simultaneous-arrival / drained-fleet case; it is a pure
-    // no-op skip, so serial and sharded runs count it identically.
+    // no-op skip, so serial and parallel runs count it identically.
     if (fleet_next_event_ >= horizon) {
         stats_.horizonStalls++;
         return;
@@ -149,23 +130,34 @@ ParallelEngine::advanceFleet(Cycles horizon)
     stats_.epochs++;
     horizon_ = horizon;
     if (workers_.empty()) {
-        runShard(shards_[0]);
+        WallTimer timer;
+        for (std::size_t i = 0; i < socs_.size(); ++i)
+            advanceSoc(i);
+        if (profile_)
+            times_[0].advanceSec += timer.seconds();
     } else {
         {
             std::lock_guard<std::mutex> lock(mu_);
             done_count_ = 0;
+            cursor_ = 0;
             ++generation_;
         }
         cv_work_.notify_all();
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_done_.wait(lock, [&]() {
-            return done_count_ == workers_.size();
-        });
+        claimSocs(times_[0]);
+        WallTimer wait_timer;
+        {
+            std::unique_lock<std::mutex> lock(mu_);
+            cv_done_.wait(lock, [&]() {
+                return done_count_ == workers_.size();
+            });
+        }
+        if (profile_)
+            times_[0].waitSec += wait_timer.seconds();
     }
 
-    for (const Shard &shard : shards_)
-        stats_.socsStepped += shard.stepped;
-    reduceShardMinima();
+    for (const SocSlot &slot : slots_)
+        stats_.socsStepped += slot.stepped ? 1 : 0;
+    reduceSlots();
 }
 
 void
@@ -174,9 +166,9 @@ ParallelEngine::phaseTotals(double &advance_sec,
 {
     advance_sec = 0.0;
     wait_sec = 0.0;
-    for (const Shard &shard : shards_) {
-        advance_sec += shard.advanceSec;
-        wait_sec += shard.waitSec;
+    for (const ThreadTimes &t : times_) {
+        advance_sec += t.advanceSec;
+        wait_sec += t.waitSec;
     }
 }
 
@@ -187,39 +179,21 @@ ParallelEngine::noteInjected(std::size_t soc_idx)
         panic("noteInjected(%zu): fleet has %zu SoCs", soc_idx,
               socs_.size());
     // An injection can only move a SoC's bound *earlier* (a drained
-    // SoC becomes runnable); refresh the owning shard's cached
-    // minimum and re-reduce.  Shard lookup is O(shards) — injections
-    // happen once per task, off the hot path.
-    for (Shard &shard : shards_) {
-        if (soc_idx >= shard.begin && soc_idx < shard.end) {
-            shard.minNextEvent =
-                std::min(shard.minNextEvent,
-                         socs_[soc_idx]->nextEventTime());
-            reduceShardMinima();
-            return;
-        }
-    }
+    // SoC becomes runnable), so a min-merge keeps slot and fleet
+    // bound exact without a re-reduction.
+    SocSlot &slot = slots_[soc_idx];
+    slot.nextEvent =
+        std::min(slot.nextEvent, socs_[soc_idx]->nextEventTime());
+    fleet_next_event_ = std::min(fleet_next_event_, slot.nextEvent);
 }
 
 void
-ParallelEngine::refreshShard(std::size_t soc_idx)
+ParallelEngine::refreshSlot(std::size_t soc_idx)
 {
-    // Unlike noteInjected's min-merge, coordinator mutations like
-    // deactivation can move a shard's bound *later*: recompute it
-    // from scratch over the shard's active slots, then re-reduce in
-    // shard-index order as always.
-    for (Shard &shard : shards_) {
-        if (soc_idx >= shard.begin && soc_idx < shard.end) {
-            shard.minNextEvent = sim::kNoEvent;
-            for (std::size_t i = shard.begin; i < shard.end; ++i)
-                if (active_[i] != 0)
-                    shard.minNextEvent =
-                        std::min(shard.minNextEvent,
-                                 socs_[i]->nextEventTime());
-            reduceShardMinima();
-            return;
-        }
-    }
+    SocSlot &slot = slots_[soc_idx];
+    slot.nextEvent =
+        slot.active ? socs_[soc_idx]->nextEventTime() : sim::kNoEvent;
+    reduceSlots();
 }
 
 void
@@ -228,10 +202,10 @@ ParallelEngine::setActive(std::size_t soc_idx, bool active)
     if (soc_idx >= socs_.size())
         panic("setActive(%zu): fleet has %zu SoCs", soc_idx,
               socs_.size());
-    if ((active_[soc_idx] != 0) == active)
+    if (slots_[soc_idx].active == active)
         return;
-    active_[soc_idx] = active ? 1 : 0;
-    refreshShard(soc_idx);
+    slots_[soc_idx].active = active;
+    refreshSlot(soc_idx);
 }
 
 bool
@@ -240,7 +214,7 @@ ParallelEngine::isActive(std::size_t soc_idx) const
     if (soc_idx >= socs_.size())
         panic("isActive(%zu): fleet has %zu SoCs", soc_idx,
               socs_.size());
-    return active_[soc_idx] != 0;
+    return slots_[soc_idx].active;
 }
 
 void
@@ -252,7 +226,7 @@ ParallelEngine::replaceSoc(std::size_t soc_idx, sim::Soc *soc)
     if (soc == nullptr)
         fatal("replaceSoc(%zu): SoC is null", soc_idx);
     socs_[soc_idx] = soc;
-    refreshShard(soc_idx);
+    refreshSlot(soc_idx);
 }
 
 } // namespace moca::cluster

@@ -133,19 +133,34 @@ TEST(ParallelCluster, ShardedMatchesSerialEverywhere)
 
 TEST(ParallelCluster, ShardCountInvariance)
 {
-    // Uneven shard splits (3 workers over 8 SoCs), more workers than
-    // SoCs (8 over 8), and a non-divisor count must all reproduce the
-    // serial run — the partitioning must never leak into results.
-    const sim::SocConfig cfg = testSoc();
-    const auto tasks =
-        synthTasks(testSynth(160, 8 * cfg.numTiles, 47), cfg);
-    const auto serial =
-        runWith(cfg, 8, 1, "least-loaded", "moca", tasks);
-    for (const int jobs : {2, 3, 8}) {
-        SCOPED_TRACE("jobs=" + std::to_string(jobs));
-        expectIdentical(
-            serial, runWith(cfg, 8, jobs, "least-loaded", "moca",
-                            tasks));
+    // Fewer threads than SoCs (divisor or not) and one thread per SoC
+    // must all reproduce the serial run — which thread claims which
+    // SoC must never leak into results.  The second fleet is
+    // perfbench's fleet-pdes shape: 16 stateful `banked` SoCs that
+    // move between threads from one epoch to the next.
+    struct FleetShape
+    {
+        const char *memModel;
+        int socs;
+        int tasks;
+        std::vector<int> jobs;
+    };
+    for (const FleetShape &fleet :
+         {FleetShape{"flat", 8, 160, {2, 3, 8}},
+          FleetShape{"banked", 16, 192, {3, 4, 16}}}) {
+        sim::SocConfig cfg = testSoc();
+        cfg.memModel = fleet.memModel;
+        const auto tasks = synthTasks(
+            testSynth(fleet.tasks, fleet.socs * cfg.numTiles, 47), cfg);
+        const auto serial =
+            runWith(cfg, fleet.socs, 1, "least-loaded", "moca", tasks);
+        for (const int jobs : fleet.jobs) {
+            SCOPED_TRACE(std::string(fleet.memModel) +
+                         " jobs=" + std::to_string(jobs));
+            expectIdentical(serial,
+                            runWith(cfg, fleet.socs, jobs,
+                                    "least-loaded", "moca", tasks));
+        }
     }
 }
 
