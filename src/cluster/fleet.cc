@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/log.h"
 #include "exp/oracle.h"
@@ -22,7 +23,7 @@ Fleet::Fleet(const ClusterConfig &cfg) : cfg_(cfg)
         FleetSlot &slot = slots_[i];
         slot.cfg = cfg_.socs[i];
         slot.cfg.socId = static_cast<int>(i);
-        addIncarnation(slot, 0);
+        boot(slot, 0);
         socs.push_back(&slot.live());
     }
     dispatcher_ = DispatcherRegistry::instance().make(
@@ -32,16 +33,15 @@ Fleet::Fleet(const ClusterConfig &cfg) : cfg_(cfg)
 }
 
 void
-Fleet::addIncarnation(FleetSlot &slot, Cycles start)
+Fleet::boot(FleetSlot &slot, Cycles start)
 {
-    slot.policies.push_back(
-        exp::PolicyRegistry::instance().make(cfg_.policy, slot.cfg));
-    slot.socs.push_back(
-        std::make_unique<sim::Soc>(slot.cfg, *slot.policies.back()));
+    slot.policy =
+        exp::PolicyRegistry::instance().make(cfg_.policy, slot.cfg);
+    slot.soc = std::make_unique<sim::Soc>(slot.cfg, *slot.policy);
     if (cfg_.capture)
         slot.live().trace().enable();
     slot.live().beginRun(cfg_.maxCycles, start);
-    slot.jobReq.emplace_back();
+    slot.jobReq.clear();
     slot.harvested = 0;
 }
 
@@ -113,7 +113,7 @@ Fleet::inject(std::size_t i, const ClusterTask &task, int req)
     engine_->noteInjected(i);
     slot.placed++;
     slot.outstandingMacs += static_cast<double>(spec.model->totalMacs());
-    slot.jobReq.back().push_back(req);
+    slot.jobReq.push_back(req);
     return spec.id;
 }
 
@@ -127,12 +127,29 @@ Fleet::freeze(std::size_t i)
 void
 Fleet::reincarnate(std::size_t i)
 {
+    if (engine_->isActive(i))
+        panic("reincarnating slot %zu, which is still running", i);
+    // The engine never advances a frozen SoC, so its clock and stats
+    // are final here: retiring now yields what aggregate() would read.
+    FleetSlot &slot = slots_[i];
+    sim::Soc &dead = slot.live();
+    dead.finishRun();
+    RetiredIncarnation r;
+    r.results = dead.results();
+    r.quanta = dead.stats().quanta;
+    r.dramBusyFraction = dead.stats().dramBusyFraction;
+    r.cyclesSimulated = dead.stats().cyclesSimulated;
+    if (cfg_.capture)
+        r.events = dead.trace().events();
+    slot.retired.push_back(std::move(r));
+    slot.soc.reset(); // References the policy: destroyed first.
+    slot.policy.reset();
+
     // The fresh SoC boots at the recovery cycle on the fleet's tick
     // grid: it has no history, so it neither replays ticks before it
     // booted nor reports them in its trace.  With nothing queued it
     // reports kNoEvent and costs the engine nothing until placed on.
-    FleetSlot &slot = slots_[i];
-    addIncarnation(slot, now_);
+    boot(slot, now_);
     engine_->replaceSoc(i, &slot.live());
     engine_->setActive(i, true);
 }
@@ -165,24 +182,30 @@ Fleet::aggregate(ClusterResult &out, double dispatch_sec)
         std::vector<sim::JobResult> all;
         double busy_weighted = 0.0;
         Cycles cycles = 0;
-        for (const auto &soc : slot.socs) {
-            soc->finishRun();
-            all.insert(all.end(), soc->results().begin(),
-                       soc->results().end());
-            share.simSteps += soc->stats().quanta;
-            busy_weighted += soc->stats().dramBusyFraction *
-                static_cast<double>(soc->stats().cyclesSimulated);
-            cycles += soc->stats().cyclesSimulated;
-            if (cfg_.capture) {
-                // Every incarnation's events carry the slot's socId;
-                // the exporter merges them onto one slot track.
-                const auto &events = soc->trace().events();
+        const auto fold = [&](const std::vector<sim::JobResult> &results,
+                              std::uint64_t quanta, double busy,
+                              Cycles lifetime,
+                              const std::vector<sim::TraceEvent> &events) {
+            all.insert(all.end(), results.begin(), results.end());
+            share.simSteps += quanta;
+            busy_weighted += busy * static_cast<double>(lifetime);
+            cycles += lifetime;
+            // Every incarnation's events carry the slot's socId; the
+            // exporter merges them onto one slot track.
+            if (cfg_.capture)
                 cfg_.capture->socEvents.insert(
                     cfg_.capture->socEvents.end(), events.begin(),
                     events.end());
-            }
-        }
-        if (slot.live().sampler())
+        };
+        for (const RetiredIncarnation &r : slot.retired)
+            fold(r.results, r.quanta, r.dramBusyFraction,
+                 r.cyclesSimulated, r.events);
+        sim::Soc &soc = slot.live();
+        soc.finishRun();
+        fold(soc.results(), soc.stats().quanta,
+             soc.stats().dramBusyFraction, soc.stats().cyclesSimulated,
+             soc.trace().events());
+        if (soc.sampler())
             any_sampled = true;
         share.metrics = metrics::computeMetrics(
             all, [&](dnn::ModelId id) {
@@ -192,8 +215,8 @@ Fleet::aggregate(ClusterResult &out, double dispatch_sec)
         // A mean over incarnations weighted by their lifetimes (each
         // from its boot cycle); a single one reports its own
         // fraction exactly.
-        if (slot.socs.size() == 1)
-            share.dramBusyFraction = slot.live().stats().dramBusyFraction;
+        if (slot.retired.empty())
+            share.dramBusyFraction = soc.stats().dramBusyFraction;
         else if (cycles > 0)
             share.dramBusyFraction =
                 busy_weighted / static_cast<double>(cycles);

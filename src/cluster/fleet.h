@@ -33,32 +33,47 @@
 namespace moca::cluster {
 
 /**
+ * What aggregate() reads of a dead incarnation: its results and the
+ * three statistics the slot's share sums, plus its trace events when
+ * capture is on (empty otherwise).  Kept when the slot reboots, so
+ * the dead SoC and its policy state can be freed.
+ */
+struct RetiredIncarnation
+{
+    std::vector<sim::JobResult> results;
+    std::uint64_t quanta = 0;       ///< SocStats::quanta.
+    double dramBusyFraction = 0.0;  ///< SocStats::dramBusyFraction.
+    Cycles cyclesSimulated = 0;     ///< SocStats::cyclesSimulated.
+    std::vector<sim::TraceEvent> events;
+};
+
+/**
  * One fleet slot: a fixed position in the PDES engine.  A failure
- * (serve layer) swaps a fresh SoC into the slot; earlier incarnations
- * stay frozen but keep their results, and the slot's share of the
- * run is summed over all of them.
+ * (serve layer) freezes the live SoC; the reboot retires it into a
+ * `RetiredIncarnation` record, frees it, and boots a fresh SoC into
+ * the slot.  The slot's share of the run is summed over the retired
+ * records, oldest first, and the live SoC.
  */
 struct FleetSlot
 {
     /** The slot's SoC configuration, socId = slot index (the SoC's
      *  trace/telemetry identity). */
     sim::SocConfig cfg;
-    /** Incarnations, oldest first; back() is the live one.  Each
-     *  policy is declared before the SoC that references it. */
-    std::vector<std::unique_ptr<sim::Policy>> policies;
-    std::vector<std::unique_ptr<sim::Soc>> socs;
-    /** Per incarnation: dense job id -> the front end's request id. */
-    std::vector<std::vector<int>> jobReq;
+    /** Dead incarnations, oldest first. */
+    std::vector<RetiredIncarnation> retired;
+    /** The live incarnation; the policy is declared before the SoC
+     *  that references it, so the SoC is destroyed first. */
+    std::unique_ptr<sim::Policy> policy;
+    std::unique_ptr<sim::Soc> soc;
+    /** Live incarnation: dense job id -> the front end's request id. */
+    std::vector<int> jobReq;
     /** Results of the live incarnation already harvested. */
     std::size_t harvested = 0;
     int placed = 0;               ///< Placements over all incarnations.
     double outstandingMacs = 0.0; ///< Dispatcher feedback signal.
 
-    sim::Soc &live() const { return *socs.back(); }
-    int incarnation() const
-    {
-        return static_cast<int>(socs.size()) - 1;
-    }
+    sim::Soc &live() const { return *soc; }
+    int incarnation() const { return static_cast<int>(retired.size()); }
 };
 
 class Fleet
@@ -100,7 +115,7 @@ class Fleet
         for (std::size_t i = 0; i < slots_.size(); ++i) {
             FleetSlot &slot = slots_[i];
             const auto &results = slot.live().results();
-            const auto &job_req = slot.jobReq.back();
+            const auto &job_req = slot.jobReq;
             for (std::size_t r = slot.harvested; r < results.size();
                  ++r) {
                 const sim::JobResult &jr = results[r];
@@ -131,27 +146,31 @@ class Fleet
      *  its outstanding work is written off. */
     void freeze(std::size_t i);
 
-    /** Boot a fresh incarnation (new SoC and policy state) into the
-     *  frozen slot `i` at the fleet clock now() — on the fleet's tick
-     *  grid, with no ticks before it — and return it to the
-     *  engine. */
+    /**
+     * Reboot the frozen slot `i`: retire its dead incarnation (results
+     * plus the statistics aggregate() reads), free that SoC and its
+     * policy, and boot a fresh incarnation at the fleet clock now() —
+     * on the fleet's tick grid, with no ticks before it — into the
+     * engine.  Panics when slot `i` is still running.
+     */
     void reincarnate(std::size_t i);
 
     /**
-     * Finish every incarnation and fill `out`'s fleet-shape fields:
-     * spec names, numSocs, per-slot shares (summed over incarnations,
-     * each slot normalized by its own config; dramBusyFraction
-     * weighted by incarnation lifetime), STP, makespan, sim
-     * steps, balanceCv, epoch stats and — when profiling —
-     * phases (with `dispatch_sec` as the coordinator time).  With
-     * capture on, copies out every incarnation's trace events and the
-     * live SoCs' sampled series.  Call once, after the final drain.
+     * Finish the live incarnations and fill `out`'s fleet-shape
+     * fields: spec names, numSocs, per-slot shares (summed over the
+     * retired incarnations, oldest first, then the live one; each
+     * slot normalized by its own config; dramBusyFraction weighted by
+     * incarnation lifetime), STP, makespan, sim steps, balanceCv,
+     * epoch stats and — when profiling — phases (with `dispatch_sec`
+     * as the coordinator time).  With capture on, copies out every
+     * incarnation's trace events and the live SoCs' sampled series.
+     * Call once, after the final drain.
      */
     void aggregate(ClusterResult &out, double dispatch_sec);
 
   private:
-    /** Append a fresh incarnation to `slot`, booted at `start`. */
-    void addIncarnation(FleetSlot &slot, Cycles start);
+    /** Boot a fresh live incarnation into `slot` at `start`. */
+    void boot(FleetSlot &slot, Cycles start);
 
     const ClusterConfig cfg_;
     std::vector<FleetSlot> slots_;

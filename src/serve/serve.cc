@@ -471,7 +471,7 @@ ServeDriver::handleFail()
     // attempts is the configured in-flight policy.
     const sim::Soc &soc = slot.live();
     res_.lostJobs += soc.jobs().size() - soc.results().size();
-    const auto &job_req = slot.jobReq.back();
+    const auto &job_req = slot.jobReq;
     for (std::size_t j = 0; j < job_req.size(); ++j) {
         ReqProgress &p =
             progress_[static_cast<std::size_t>(job_req[j])];
@@ -519,7 +519,8 @@ ServeDriver::handleRecover(int slot_idx)
         panic("recovering slot %d that is not Failed", slot_idx);
     res_.recoverEvents++;
     captureEvent(sim::TraceEventKind::SocRecover, slot_idx);
-    // Reboot: a fresh SoC (and fresh policy state) joins the slot.
+    // Reboot: a fresh SoC (and fresh policy state) replaces the
+    // failed one, which the fleet frees.
     fleet_.reincarnate(idx);
     state_[idx] = SlotState::Up;
     noteUpChange(+1);

@@ -408,6 +408,15 @@ TEST(ChromeTrace, ServeCaptureRecordsFrontendEvents)
     EXPECT_EQ(saw_recover, res.recoverEvents > 0);
     EXPECT_FALSE(capture.epochs.empty());
     EXPECT_FALSE(capture.socEvents.empty());
+    // Rebooted slots free their dead SoCs, yet every incarnation's
+    // completions still reach the exported trace.
+    ASSERT_GT(res.recoverEvents, 0u);
+    std::size_t completed = 0, traced = 0;
+    for (const auto &share : res.cluster.perSoc)
+        completed += static_cast<std::size_t>(share.metrics.numJobs);
+    for (const auto &ev : capture.socEvents)
+        traced += ev.kind == sim::TraceEventKind::JobCompleted;
+    EXPECT_EQ(traced, completed);
 
     obs::ChromeTraceWriter w;
     w.addCapture(capture);

@@ -7,13 +7,15 @@
  * included), the forced-timeout retry path, the autoscaler's
  * drain-never-loses-work invariant, mid-run SoC fail/recover on both
  * time-advance kernels and both in-flight policies, the per-SoC
- * shares summed over failure incarnations, and recovered SoCs that
- * boot at the recovery cycle (no ticks while down, DRAM utilization
- * weighted by incarnation lifetime).
+ * shares summed over failure incarnations, recovered SoCs that boot
+ * at the recovery cycle (no ticks while down, DRAM utilization
+ * weighted by incarnation lifetime), and reboots that free the dead
+ * incarnation's SoC and policy.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
 #include <map>
 #include <utility>
@@ -21,6 +23,8 @@
 #include "cluster/cluster.h"
 #include "cluster/fleet.h"
 #include "exp/oracle.h"
+#include "exp/registry.h"
+#include "moca/moca_policy.h"
 #include "obs/capture.h"
 #include "serve/serve.h"
 
@@ -117,6 +121,40 @@ expectIdentical(const ServeResult &a, const ServeResult &b)
                   b.cluster.perSoc[i].simSteps);
     }
 }
+
+cluster::ClusterTask
+fleetTask(int id, dnn::ModelId model, Cycles at)
+{
+    cluster::ClusterTask t;
+    t.id = id;
+    t.model = model;
+    t.arrival = at;
+    t.slaLatency = 1'000'000'000;
+    return t;
+}
+
+/** MoCA that counts its live instances: the fleet's memory bound is
+ *  that no dead incarnation's policy outlives its reboot. */
+std::atomic<int> g_liveCountedPolicies{0};
+
+class CountedMoca : public MocaPolicy
+{
+  public:
+    explicit CountedMoca(const sim::SocConfig &cfg) : MocaPolicy(cfg)
+    {
+        ++g_liveCountedPolicies;
+    }
+    ~CountedMoca() override { --g_liveCountedPolicies; }
+};
+
+const exp::PolicyRegistrar kCountedMoca({
+    "counted-moca",
+    "moca with a live-instance counter (test only)",
+    {},
+    [](const sim::SocConfig &cfg, const exp::PolicySpec &) {
+        return std::make_unique<CountedMoca>(cfg);
+    },
+});
 
 /** The accounting invariants every serve run must satisfy. */
 void
@@ -461,53 +499,54 @@ TEST(Fleet, DramBusyFractionWeightsIncarnationsByLifetime)
 {
     // Drive the fleet's failure churn (the serving driver's
     // freeze/reincarnate pair) by hand, recording each incarnation's
-    // boot cycle: a slot's DRAM busy fraction must be its busy
-    // cycles over its incarnations' lifetimes, not over their
+    // boot and end cycles: a slot's DRAM busy fraction must be its
+    // busy cycles over its incarnations' lifetimes, not over their
     // absolute final clocks.
-    const auto task = [](int id, dnn::ModelId model, Cycles at) {
-        cluster::ClusterTask t;
-        t.id = id;
-        t.model = model;
-        t.arrival = at;
-        t.slaLatency = 1'000'000'000;
-        return t;
-    };
     cluster::Fleet fleet(cluster::ClusterConfig::homogeneous(2, testSoc()));
     std::vector<std::vector<Cycles>> births = {{0}, {0}};
+    std::vector<std::vector<Cycles>> ends(2);
     const auto reboot = [&](std::size_t slot) {
+        ends[slot].push_back(fleet.slot(slot).live().now());
         fleet.reincarnate(slot);
         births[slot].push_back(fleet.now());
         EXPECT_EQ(fleet.slot(slot).live().now(), fleet.now());
     };
 
-    fleet.inject(0, task(0, dnn::ModelId::AlexNet, 0), 0);
-    fleet.inject(1, task(1, dnn::ModelId::Kws, 0), 1);
+    fleet.inject(0, fleetTask(0, dnn::ModelId::AlexNet, 0), 0);
+    fleet.inject(1, fleetTask(1, dnn::ModelId::Kws, 0), 1);
     fleet.advance(300'000);
     fleet.freeze(0);
     fleet.advance(900'000);
     reboot(0);
-    fleet.inject(0, task(2, dnn::ModelId::ResNet50, 900'000), 2);
-    fleet.inject(1, task(3, dnn::ModelId::AlexNet, 900'000), 3);
+    fleet.inject(0, fleetTask(2, dnn::ModelId::ResNet50, 900'000), 2);
+    fleet.inject(1, fleetTask(3, dnn::ModelId::AlexNet, 900'000), 3);
     fleet.advance(1'500'000);
     fleet.freeze(1);
     fleet.advance(1'650'000);
     reboot(1);
-    fleet.inject(1, task(4, dnn::ModelId::SqueezeNet, 1'650'000), 4);
+    fleet.inject(1, fleetTask(4, dnn::ModelId::SqueezeNet, 1'650'000),
+                 4);
     fleet.advance(sim::kNoHorizon);
 
     cluster::ClusterResult out;
     fleet.aggregate(out, 0.0);
     for (std::size_t i = 0; i < fleet.size(); ++i) {
         const cluster::FleetSlot &slot = fleet.slot(i);
-        ASSERT_EQ(slot.socs.size(), 2u) << i;
+        ASSERT_EQ(slot.retired.size(), 1u) << i;
+        ends[i].push_back(slot.live().now());
         double busy = 0.0;
         Cycles lifetimes = 0;
-        for (std::size_t k = 0; k < slot.socs.size(); ++k) {
-            const sim::Soc &soc = *slot.socs[k];
-            const Cycles life = soc.now() - births[i][k];
-            EXPECT_EQ(soc.stats().cyclesSimulated, life) << i << k;
-            busy += soc.stats().dramBusyFraction *
-                static_cast<double>(soc.stats().cyclesSimulated);
+        for (std::size_t k = 0; k <= slot.retired.size(); ++k) {
+            const bool dead = k < slot.retired.size();
+            const Cycles cycles = dead
+                ? slot.retired[k].cyclesSimulated
+                : slot.live().stats().cyclesSimulated;
+            const double fraction = dead
+                ? slot.retired[k].dramBusyFraction
+                : slot.live().stats().dramBusyFraction;
+            const Cycles life = ends[i][k] - births[i][k];
+            EXPECT_EQ(cycles, life) << i << k;
+            busy += fraction * static_cast<double>(cycles);
             lifetimes += life;
         }
         ASSERT_GT(busy, 0.0) << i;
@@ -515,6 +554,50 @@ TEST(Fleet, DramBusyFractionWeightsIncarnationsByLifetime)
                          busy / static_cast<double>(lifetimes))
             << i;
     }
+}
+
+TEST(Fleet, RebootFreesDeadIncarnations)
+{
+    // Five freeze/reboot cycles on slot 0: each reboot frees the dead
+    // SoC and its policy, so live policies stay at one per slot, yet
+    // the slot's share still counts every incarnation's results.
+    cluster::ClusterConfig cc =
+        cluster::ClusterConfig::homogeneous(2, testSoc());
+    cc.policy = "counted-moca";
+    const Cycles window =
+        2 * exp::isolatedLatency(dnn::ModelId::Kws, 1, cc.socs[0]);
+    {
+        cluster::Fleet fleet(cc);
+        EXPECT_EQ(g_liveCountedPolicies.load(), 2);
+        std::size_t completed = 0;
+        int id = 0;
+        for (int cycle = 1; cycle <= 5; ++cycle) {
+            fleet.inject(0, fleetTask(id, dnn::ModelId::Kws, fleet.now()),
+                         id);
+            ++id;
+            fleet.inject(1, fleetTask(id, dnn::ModelId::Kws, fleet.now()),
+                         id);
+            ++id;
+            fleet.advance(fleet.now() + window);
+            fleet.freeze(0);
+            completed += fleet.slot(0).live().results().size();
+            fleet.reincarnate(0);
+            EXPECT_EQ(g_liveCountedPolicies.load(), 2) << cycle;
+            EXPECT_EQ(fleet.slot(0).incarnation(), cycle);
+        }
+        EXPECT_EQ(completed, 5u);
+        fleet.inject(0, fleetTask(id, dnn::ModelId::Kws, fleet.now()), id);
+        fleet.advance(sim::kNoHorizon);
+        completed += fleet.slot(0).live().results().size();
+
+        cluster::ClusterResult out;
+        fleet.aggregate(out, 0.0);
+        EXPECT_EQ(out.perSoc[0].metrics.numJobs,
+                  static_cast<int>(completed));
+        EXPECT_EQ(out.perSoc[0].tasks, 6);
+        EXPECT_EQ(out.perSoc[1].metrics.numJobs, 5);
+    }
+    EXPECT_EQ(g_liveCountedPolicies.load(), 0);
 }
 
 TEST(Serve, GoodputWiredThroughRunCluster)
@@ -600,4 +683,12 @@ TEST(ServeDeath, InvalidConfiguration)
     sc = testServe(1, 2, 2);
     sc.admission = "nope";
     EXPECT_DEATH((void)serve::runServe(sc), "admission");
+}
+
+TEST(FleetDeath, RebootOfRunningSlot)
+{
+    // Only a frozen slot may reboot: booting over a running SoC would
+    // free work the front end still tracks.
+    cluster::Fleet fleet(cluster::ClusterConfig::homogeneous(2, testSoc()));
+    EXPECT_DEATH(fleet.reincarnate(1), "slot 1");
 }
