@@ -135,12 +135,9 @@ Fleet::reincarnate(std::size_t i)
     sim::Soc &dead = slot.live();
     dead.finishRun();
     RetiredIncarnation r;
-    r.results = dead.results();
-    r.quanta = dead.stats().quanta;
-    r.dramBusyFraction = dead.stats().dramBusyFraction;
-    r.cyclesSimulated = dead.stats().cyclesSimulated;
-    if (cfg_.capture)
-        r.events = dead.trace().events();
+    r.results = dead.takeResults();
+    r.stats = dead.stats();
+    r.events = dead.trace().takeEvents();
     slot.retired.push_back(std::move(r));
     slot.soc.reset(); // References the policy: destroyed first.
     slot.policy.reset();
@@ -183,13 +180,13 @@ Fleet::aggregate(ClusterResult &out, double dispatch_sec)
         double busy_weighted = 0.0;
         Cycles cycles = 0;
         const auto fold = [&](const std::vector<sim::JobResult> &results,
-                              std::uint64_t quanta, double busy,
-                              Cycles lifetime,
+                              const sim::SocStats &stats,
                               const std::vector<sim::TraceEvent> &events) {
             all.insert(all.end(), results.begin(), results.end());
-            share.simSteps += quanta;
-            busy_weighted += busy * static_cast<double>(lifetime);
-            cycles += lifetime;
+            share.simSteps += stats.quanta;
+            busy_weighted += stats.dramBusyFraction *
+                static_cast<double>(stats.cyclesSimulated);
+            cycles += stats.cyclesSimulated;
             // Every incarnation's events carry the slot's socId; the
             // exporter merges them onto one slot track.
             if (cfg_.capture)
@@ -198,13 +195,10 @@ Fleet::aggregate(ClusterResult &out, double dispatch_sec)
                     events.end());
         };
         for (const RetiredIncarnation &r : slot.retired)
-            fold(r.results, r.quanta, r.dramBusyFraction,
-                 r.cyclesSimulated, r.events);
+            fold(r.results, r.stats, r.events);
         sim::Soc &soc = slot.live();
         soc.finishRun();
-        fold(soc.results(), soc.stats().quanta,
-             soc.stats().dramBusyFraction, soc.stats().cyclesSimulated,
-             soc.trace().events());
+        fold(soc.results(), soc.stats(), soc.trace().events());
         if (soc.sampler())
             any_sampled = true;
         share.metrics = metrics::computeMetrics(

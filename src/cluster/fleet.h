@@ -33,17 +33,15 @@
 namespace moca::cluster {
 
 /**
- * What aggregate() reads of a dead incarnation: its results and the
- * three statistics the slot's share sums, plus its trace events when
- * capture is on (empty otherwise).  Kept when the slot reboots, so
- * the dead SoC and its policy state can be freed.
+ * What aggregate() reads of a dead incarnation: its results, its
+ * final stats, and its trace events when capture is on (empty
+ * otherwise).  Kept when the slot reboots, so the dead SoC and its
+ * policy state can be freed.
  */
 struct RetiredIncarnation
 {
     std::vector<sim::JobResult> results;
-    std::uint64_t quanta = 0;       ///< SocStats::quanta.
-    double dramBusyFraction = 0.0;  ///< SocStats::dramBusyFraction.
-    Cycles cyclesSimulated = 0;     ///< SocStats::cyclesSimulated.
+    sim::SocStats stats;
     std::vector<sim::TraceEvent> events;
 };
 

@@ -147,7 +147,7 @@ LatencyModel::estimateLayer(const dnn::Layer &layer, int num_tiles) const
     return est;
 }
 
-LatencyModel::ModelCache &
+const LatencyModel::ModelCache &
 LatencyModel::cacheFor(const dnn::Model &model, int num_tiles) const
 {
     const std::uint64_t key =
@@ -163,9 +163,17 @@ LatencyModel::cacheFor(const dnn::Model &model, int num_tiles) const
     for (std::size_t i = 0; i < n; ++i)
         c.perLayer.push_back(
             estimateLayer(model.layer(i), num_tiles));
+
+    // Each suffix is its own forward-order sum (not built back to
+    // front), so every entry reproduces the uncached loop's floating
+    // point rounding exactly.
     c.suffix.resize(n + 1);
-    c.suffixReady.assign(n + 1, false);
-    c.suffixReady[n] = true;
+    for (std::size_t from = 0; from < n; ++from) {
+        LayerEstimate est;
+        for (std::size_t i = from; i < n; ++i)
+            est += c.perLayer[i];
+        c.suffix[from] = est;
+    }
 
     const auto &blocks = model.blocks();
     c.perBlock.reserve(blocks.size());
@@ -193,20 +201,9 @@ LatencyModel::estimateRemaining(const dnn::Model &model,
                                 std::size_t from_layer,
                                 int num_tiles) const
 {
-    ModelCache &c = cacheFor(model, num_tiles);
+    const ModelCache &c = cacheFor(model, num_tiles);
     if (from_layer >= c.suffix.size())
         return LayerEstimate{};
-    if (!c.suffixReady[from_layer]) {
-        // Each suffix is its own forward-order sum (not built from
-        // its neighbour), so every entry reproduces the uncached
-        // loop's floating point rounding exactly, whatever order the
-        // suffixes are first asked for in.
-        LayerEstimate est;
-        for (std::size_t i = from_layer; i < c.perLayer.size(); ++i)
-            est += c.perLayer[i];
-        c.suffix[from_layer] = est;
-        c.suffixReady[from_layer] = true;
-    }
     return c.suffix[from_layer];
 }
 

@@ -105,23 +105,21 @@ class LatencyModel
      * Memoized per-(model, tile-count) estimates.  Algorithm 1 is
      * pure in (layer, num_tiles, cfg), so per-layer estimates — and
      * the aggregates the runtime asks for millions of times per
-     * stress run — are computed once per model/tile pair; each
-     * suffix sum only when first asked for.  Sums are accumulated in
-     * the same forward layer order as the uncached loops so results
-     * stay bit-identical.
+     * stress run — are computed once per model/tile pair.  Sums are
+     * accumulated in the same forward layer order as the uncached
+     * loops so results stay bit-identical.
      */
     struct ModelCache
     {
         std::vector<LayerEstimate> perLayer; ///< estimateLayer(i).
         /** suffix[i] = sum of perLayer[i..L-1], forward order
-         *  (== the uncached estimateRemaining(i)); suffix[L] = {}.
-         *  Valid where suffixReady[i] is set. */
+         *  (== the uncached estimateRemaining(i)); suffix[L] = {}. */
         std::vector<LayerEstimate> suffix;
-        std::vector<bool> suffixReady;
         std::vector<LayerEstimate> perBlock; ///< estimateBlock(b).
     };
 
-    ModelCache &cacheFor(const dnn::Model &model, int num_tiles) const;
+    const ModelCache &cacheFor(const dnn::Model &model,
+                               int num_tiles) const;
 
     sim::SocConfig cfg_;
     bool sparsityAware_ = true;

@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "mem/memory_model.h"
@@ -279,6 +280,9 @@ class Soc
 
     /** Results of completed jobs (valid after run()). */
     const std::vector<JobResult> &results() const { return results_; }
+    /** Hand the results over, leaving this SoC's list empty (for a
+     *  SoC about to be destroyed). */
+    std::vector<JobResult> takeResults() { return std::move(results_); }
 
     /**
      * Effective L2 capacity a job sees right now: total capacity

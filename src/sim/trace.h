@@ -11,6 +11,7 @@
 #define MOCA_SIM_TRACE_H
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -80,6 +81,8 @@ class TraceRecorder
     }
 
     const std::vector<TraceEvent> &events() const { return events_; }
+    /** Hand the events over, leaving this log empty. */
+    std::vector<TraceEvent> takeEvents() { return std::move(events_); }
 
     /** Events of one job, in time order. */
     std::vector<TraceEvent> forJob(int job_id) const;

@@ -537,16 +537,13 @@ TEST(Fleet, DramBusyFractionWeightsIncarnationsByLifetime)
         double busy = 0.0;
         Cycles lifetimes = 0;
         for (std::size_t k = 0; k <= slot.retired.size(); ++k) {
-            const bool dead = k < slot.retired.size();
-            const Cycles cycles = dead
-                ? slot.retired[k].cyclesSimulated
-                : slot.live().stats().cyclesSimulated;
-            const double fraction = dead
-                ? slot.retired[k].dramBusyFraction
-                : slot.live().stats().dramBusyFraction;
+            const sim::SocStats &stats = k < slot.retired.size()
+                ? slot.retired[k].stats
+                : slot.live().stats();
             const Cycles life = ends[i][k] - births[i][k];
-            EXPECT_EQ(cycles, life) << i << k;
-            busy += fraction * static_cast<double>(cycles);
+            EXPECT_EQ(stats.cyclesSimulated, life) << i << k;
+            busy += stats.dramBusyFraction *
+                static_cast<double>(stats.cyclesSimulated);
             lifetimes += life;
         }
         ASSERT_GT(busy, 0.0) << i;
