@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/json.h"
 #include "common/log.h"
 #include "common/table.h"
 #include "common/text.h"
@@ -62,17 +63,6 @@
 using namespace moca;
 
 namespace {
-
-std::vector<int>
-parseIntList(const std::string &what, const std::string &text)
-{
-    std::vector<int> values;
-    for (const auto &tok : splitCommaList(text))
-        values.push_back(static_cast<int>(parseIntValue(what, tok)));
-    if (values.empty())
-        fatal("%s needs at least one value", what.c_str());
-    return values;
-}
 
 std::vector<dnn::ModelId>
 parseMix(const std::string &text)
@@ -157,6 +147,10 @@ main(int argc, char **argv)
     // bag, written by that cell's run alone (never shared).
     const std::string trace_out = args.getString("trace-out", "");
     const std::string sample_out = args.getString("sample-out", "");
+    const std::string json = args.getString("json", "");
+    // Claim the outputs now: a bad path fails before the grid runs.
+    for (const auto &path : {trace_out, sample_out, json})
+        claimOutputFile(path);
     if (!sample_out.empty() && base.sampleEvery == 0) {
         base.sampleEvery = 100'000;
         inform("--sample-out without --sample-every: defaulting to "
@@ -295,62 +289,46 @@ main(int argc, char **argv)
                                  sample_out);
     }
 
-    const std::string json = args.getString("json", "");
     if (!json.empty()) {
-        std::FILE *f = std::fopen(json.c_str(), "w");
-        if (f == nullptr)
-            fatal("cannot write %s", json.c_str());
-        std::fprintf(f, "{\n  \"bench\": \"cluster_scale\",\n");
-        std::fprintf(f, "  \"process\": \"%s\",\n",
-                     cluster::arrivalProcessName(process));
-        std::fprintf(f, "  \"load_factor\": %.3f,\n", load);
-        std::fprintf(f, "  \"seed\": %llu,\n",
-                     static_cast<unsigned long long>(seed));
-        std::fprintf(f, "  \"kernel\": \"%s\",\n",
-                     sim::simKernelName(base.kernel));
-        std::fprintf(f, "  \"jobs\": %d,\n",
-                     exp::resolveJobs(opts.jobs));
-        std::fprintf(f, "  \"cells\": [\n");
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            const auto &cell = cells[i];
+        BenchJson doc;
+        doc.bench = "cluster_scale";
+        doc.header.str("process", cluster::arrivalProcessName(process))
+            .num("load_factor", "%.3f", load)
+            .count("seed", seed)
+            .str("kernel", sim::simKernelName(base.kernel))
+            .num("jobs", "%d", exp::resolveJobs(opts.jobs));
+        for (const auto &cell : cells) {
             const auto &r = cell.result;
-            std::fprintf(
-                f,
-                "    {\"socs\": %d, \"tasks\": %d, "
-                "\"dispatcher\": \"%s\", \"policy\": \"%s\",\n"
-                "     \"sla_rate\": %.6f, \"sla_rate_high\": %.6f, "
-                "\"stp\": %.6f,\n"
-                "     \"goodput\": %.4f, \"shed_rate\": %.6f, "
-                "\"retry_rate\": %.6f, \"timeout_rate\": %.6f,\n"
-                "     \"latency_p50\": %.1f, \"latency_p95\": %.1f, "
-                "\"latency_p99\": %.1f,\n"
-                "     \"norm_p50\": %.4f, \"norm_p95\": %.4f, "
-                "\"norm_p99\": %.4f,\n"
-                "     \"makespan\": %llu, \"balance_cv\": %.4f, "
-                "\"sim_steps\": %llu,\n"
-                "     \"epochs\": %llu, \"horizon_stalls\": %llu, "
-                "\"mean_socs_stepped\": %.4f, \"wall_s\": %.6f}%s\n",
-                cell.socs, cell.tasks, cell.dispatcher.c_str(),
-                cell.policy.c_str(), r.slaRate, r.slaRateHigh,
-                r.stp, r.goodput, r.shedRate, r.retryRate,
-                r.timeoutRate, r.latency.p50, r.latency.p95,
-                r.latency.p99,
-                r.normLatency.p50, r.normLatency.p95,
-                r.normLatency.p99,
-                static_cast<unsigned long long>(r.makespan),
-                r.balanceCv,
-                static_cast<unsigned long long>(r.simSteps),
-                static_cast<unsigned long long>(r.epochs),
-                static_cast<unsigned long long>(r.horizonStalls),
-                r.meanSocsStepped,
-                record_wall ? cell.wall : 0.0,
-                i + 1 < cells.size() ? "," : "");
+            doc.cells.push_back(
+                JsonFields()
+                    .num("socs", "%d", cell.socs)
+                    .num("tasks", "%d", cell.tasks)
+                    .str("dispatcher", cell.dispatcher)
+                    .str("policy", cell.policy)
+                    .num("sla_rate", "%.6f", r.slaRate)
+                    .num("sla_rate_high", "%.6f", r.slaRateHigh)
+                    .num("stp", "%.6f", r.stp)
+                    .num("goodput", "%.4f", r.goodput)
+                    .num("shed_rate", "%.6f", r.shedRate)
+                    .num("retry_rate", "%.6f", r.retryRate)
+                    .num("timeout_rate", "%.6f", r.timeoutRate)
+                    .num("latency_p50", "%.1f", r.latency.p50)
+                    .num("latency_p95", "%.1f", r.latency.p95)
+                    .num("latency_p99", "%.1f", r.latency.p99)
+                    .num("norm_p50", "%.4f", r.normLatency.p50)
+                    .num("norm_p95", "%.4f", r.normLatency.p95)
+                    .num("norm_p99", "%.4f", r.normLatency.p99)
+                    .count("makespan", r.makespan)
+                    .num("balance_cv", "%.4f", r.balanceCv)
+                    .count("sim_steps", r.simSteps)
+                    .count("epochs", r.epochs)
+                    .count("horizon_stalls", r.horizonStalls)
+                    .num("mean_socs_stepped", "%.4f", r.meanSocsStepped)
+                    .num("wall_s", "%.6f", record_wall ? cell.wall : 0.0)
+                    .object());
         }
-        std::fprintf(f, "  ],\n");
-        std::fprintf(f, "  \"total\": {\"wall_s\": %.6f}\n}\n",
-                     timing ? total_wall : 0.0);
-        std::fclose(f);
-        std::printf("wrote %s\n", json.c_str());
+        doc.total.num("wall_s", "%.6f", timing ? total_wall : 0.0);
+        doc.write(json);
     }
     return 0;
 }

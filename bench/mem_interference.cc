@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "common/table.h"
 #include "common/text.h"
@@ -68,6 +69,9 @@ main(int argc, char **argv)
     // timing=0 zeroes the JSON's wall-clock field so a rerun of the
     // same grid emits byte-identical JSON (the ctest mem gate).
     const bool timing = args.getBool("timing", true);
+    const std::string json = args.getString("json", "");
+    // Claim the outputs now: a bad path fails before the grid runs.
+    claimOutputFile(json);
 
     // Memory-model axis: `mems=` takes registry specs with the same
     // list grammar as --policy ("flat,banked:banks=4,remap=mod" is
@@ -179,6 +183,7 @@ main(int argc, char **argv)
     }
     const bool have_moca = by_mem.begin() != by_mem.end() &&
         by_mem.begin()->second.count("moca") > 0;
+    std::vector<std::string> margins; ///< JSON records, vs each baseline.
     if (have_moca) {
         Table m({"Mem model", "Policy", "mean SLA", "mean STP",
                  "MoCA SLA x", "MoCA STP x"});
@@ -200,70 +205,50 @@ main(int argc, char **argv)
                     .cell(stp > 0.0 ? (moca.stp / moca.n) / stp
                                     : 0.0,
                           2);
+                if (policy != "moca")
+                    margins.push_back(
+                        JsonFields()
+                            .str("mem", mem_spec)
+                            .str("vs", policy)
+                            .num("moca_sla_x", "%.4f",
+                                 a.sla > 0.0 ? moca.sla / a.sla : 0.0)
+                            .num("moca_stp_x", "%.4f",
+                                 a.stp > 0.0 ? moca.stp / a.stp : 0.0)
+                            .object());
             }
         }
         m.print("MoCA margin by memory model (mean over mixes)");
     }
     std::printf("total wall: %.2f s\n", wall);
 
-    const std::string json = args.getString("json", "");
     if (!json.empty()) {
-        std::FILE *f = std::fopen(json.c_str(), "w");
-        if (f == nullptr)
-            fatal("cannot write %s", json.c_str());
-        std::fprintf(f, "{\n  \"bench\": \"mem_interference\",\n");
-        std::fprintf(f, "  \"tasks\": %d,\n", tasks);
-        std::fprintf(f, "  \"load_factor\": %.3f,\n", load);
-        std::fprintf(f, "  \"seed\": %llu,\n",
-                     static_cast<unsigned long long>(seed));
-        std::fprintf(f, "  \"kernel\": \"%s\",\n",
-                     sim::simKernelName(base.kernel));
-        std::fprintf(f, "  \"cells\": [\n");
+        BenchJson doc;
+        doc.bench = "mem_interference";
+        doc.header.num("tasks", "%d", tasks)
+            .num("load_factor", "%.3f", load)
+            .count("seed", seed)
+            .str("kernel", sim::simKernelName(base.kernel));
         for (std::size_t i = 0; i < keys.size(); ++i) {
             const auto &r = results[i];
-            std::fprintf(
-                f,
-                "    {\"mix\": \"%s\", \"mem\": \"%s\", "
-                "\"policy\": \"%s\", \"sla\": %.6f, "
-                "\"sla_high\": %.6f, \"stp\": %.6f, "
-                "\"row_hit_rate\": %.6f, \"bank_cv\": %.6f, "
-                "\"l2_conflict_bytes\": %.0f, \"makespan\": %llu}%s\n",
-                workload::workloadSetName(keys[i].set),
-                keys[i].mem.c_str(), keys[i].policy.c_str(),
-                r.metrics.slaRate, r.metrics.slaRateHigh,
-                r.metrics.stp, r.memTraffic.rowHitRate(),
-                r.memTraffic.bankBytesCv(),
-                r.memTraffic.l2ConflictLostBytes,
-                static_cast<unsigned long long>(r.makespan),
-                i + 1 < keys.size() ? "," : "");
+            doc.cells.push_back(
+                JsonFields()
+                    .str("mix", workload::workloadSetName(keys[i].set))
+                    .str("mem", keys[i].mem)
+                    .str("policy", keys[i].policy)
+                    .num("sla", "%.6f", r.metrics.slaRate)
+                    .num("sla_high", "%.6f", r.metrics.slaRateHigh)
+                    .num("stp", "%.6f", r.metrics.stp)
+                    .num("row_hit_rate", "%.6f",
+                         r.memTraffic.rowHitRate())
+                    .num("bank_cv", "%.6f", r.memTraffic.bankBytesCv())
+                    .num("l2_conflict_bytes", "%.0f",
+                         r.memTraffic.l2ConflictLostBytes)
+                    .count("makespan", r.makespan)
+                    .object());
         }
-        std::fprintf(f, "  ],\n  \"margins\": [\n");
-        bool first = true;
-        for (const auto &mem_spec : mems) {
-            if (!have_moca)
-                break;
-            const auto &per_policy = by_mem[mem_spec];
-            const Acc &moca = per_policy.at("moca");
-            for (const auto &policy : policies) {
-                if (policy == "moca")
-                    continue;
-                const Acc &a = per_policy.at(policy);
-                std::fprintf(
-                    f,
-                    "%s    {\"mem\": \"%s\", \"vs\": \"%s\", "
-                    "\"moca_sla_x\": %.4f, \"moca_stp_x\": %.4f}",
-                    first ? "" : ",\n", mem_spec.c_str(),
-                    policy.c_str(),
-                    a.sla > 0.0 ? moca.sla / a.sla : 0.0,
-                    a.stp > 0.0 ? moca.stp / a.stp : 0.0);
-                first = false;
-            }
-        }
-        std::fprintf(f, "\n  ],\n");
-        std::fprintf(f, "  \"total\": {\"wall_s\": %.6f}\n}\n",
-                     timing ? wall : 0.0);
-        std::fclose(f);
-        std::printf("wrote %s\n", json.c_str());
+        doc.sections.emplace_back("margins", std::move(margins));
+        doc.total.num("wall_s", "%.6f", timing ? wall : 0.0);
+        doc.write(json);
     }
     return 0;
 }

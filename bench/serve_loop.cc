@@ -52,9 +52,9 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "common/table.h"
-#include "common/text.h"
 #include "common/walltime.h"
 #include "exp/sweep/options.h"
 #include "obs/capture.h"
@@ -65,28 +65,6 @@
 using namespace moca;
 
 namespace {
-
-std::vector<int>
-parseIntList(const std::string &what, const std::string &text)
-{
-    std::vector<int> values;
-    for (const auto &tok : splitCommaList(text))
-        values.push_back(static_cast<int>(parseIntValue(what, tok)));
-    if (values.empty())
-        fatal("%s needs at least one value", what.c_str());
-    return values;
-}
-
-std::vector<double>
-parseDoubleList(const std::string &what, const std::string &text)
-{
-    std::vector<double> values;
-    for (const auto &tok : splitCommaList(text))
-        values.push_back(parseDoubleValue(what, tok));
-    if (values.empty())
-        fatal("%s needs at least one value", what.c_str());
-    return values;
-}
 
 struct Cell
 {
@@ -162,6 +140,11 @@ main(int argc, char **argv)
     const bool timing = args.getBool("timing", true);
     const bool record_wall =
         exp::resolveJobs(opts.jobs) == 1 && timing;
+    const std::string trace_out = args.getString("trace-out", "");
+    const std::string json = args.getString("json", "");
+    // Claim the outputs now: a bad path fails before the grid runs.
+    claimOutputFile(trace_out);
+    claimOutputFile(json);
 
     std::printf("== serve_loop: closed-loop serving "
                 "(socs=%d rpc=%d outstanding=%d timeout-scale=%.1f "
@@ -242,7 +225,6 @@ main(int argc, char **argv)
     // Telemetry export: one capture bag on the first cell whose
     // scenario injects failures (the interesting timeline), else
     // cell 0; written by that cell's coordinator alone.
-    const std::string trace_out = args.getString("trace-out", "");
     obs::Capture capture;
     std::size_t capture_idx = cells.size();
     if (!trace_out.empty() && !cells.empty()) {
@@ -316,47 +298,66 @@ main(int argc, char **argv)
                       std::size_t pi) -> const Cell & {
         return cells[(si * D + di) * P + pi];
     };
-    struct Margin
-    {
-        const Cell *refCell = nullptr;
-        std::vector<const Cell *> others;
-    };
-    std::vector<Margin> margins;
+    // One JSON record per scenario x dispatcher, built with its row.
+    std::vector<std::string> margins;
     if (P > 1) {
         Table m({"family", "scenario", "dispatcher", ref + " SLA",
                  ref + " goodput/s", "best-other SLA",
                  "SLA margin", "goodput margin"});
         for (std::size_t si = 0; si < scenarios.size(); ++si) {
             for (std::size_t di = 0; di < D; ++di) {
-                Margin mg;
+                const Cell *ref_cell = nullptr;
+                std::vector<const Cell *> others;
                 for (std::size_t pi = 0; pi < P; ++pi) {
                     const Cell &c = cellAt(si, di, pi);
                     if (c.policy == ref)
-                        mg.refCell = &c;
+                        ref_cell = &c;
                     else
-                        mg.others.push_back(&c);
+                        others.push_back(&c);
                 }
-                if (mg.refCell == nullptr)
+                if (ref_cell == nullptr)
                     continue;
+                const auto &rr = ref_cell->result.cluster;
                 double best_sla = 0.0, best_goodput = 0.0;
-                for (const Cell *o : mg.others) {
-                    if (o->result.cluster.slaRate > best_sla)
-                        best_sla = o->result.cluster.slaRate;
-                    if (o->result.cluster.goodput > best_goodput)
-                        best_goodput = o->result.cluster.goodput;
+                std::string baselines;
+                for (const Cell *o : others) {
+                    const auto &oc = o->result.cluster;
+                    best_sla = std::max(best_sla, oc.slaRate);
+                    best_goodput = std::max(best_goodput, oc.goodput);
+                    if (!baselines.empty())
+                        baselines += ", ";
+                    baselines +=
+                        JsonFields()
+                            .str("policy", o->policy)
+                            .num("sla_rate", "%.6f", oc.slaRate)
+                            .num("goodput", "%.4f", oc.goodput)
+                            .num("sla_ratio", "%.4f",
+                                 rr.slaRate / std::max(oc.slaRate, 1e-3))
+                            .num("goodput_ratio", "%.4f",
+                                 rr.goodput /
+                                     std::max(oc.goodput, 1e-3))
+                            .object();
                 }
-                const auto &rr = mg.refCell->result.cluster;
                 m.row()
-                    .cell(mg.refCell->family)
-                    .cell(mg.refCell->scenario)
-                    .cell(mg.refCell->dispatcher)
+                    .cell(ref_cell->family)
+                    .cell(ref_cell->scenario)
+                    .cell(ref_cell->dispatcher)
                     .cell(rr.slaRate, 3)
                     .cell(rr.goodput, 0)
                     .cell(best_sla, 3)
                     .cell(rr.slaRate / std::max(best_sla, 1e-3), 2)
                     .cell(rr.goodput / std::max(best_goodput, 1e-3),
                           2);
-                margins.push_back(std::move(mg));
+                margins.push_back(
+                    JsonFields()
+                        .str("family", ref_cell->family)
+                        .str("scenario", ref_cell->scenario)
+                        .str("dispatcher", ref_cell->dispatcher)
+                        .str("ref", ref)
+                        .num("ref_sla", "%.6f", rr.slaRate)
+                        .num("ref_goodput", "%.4f", rr.goodput)
+                        .add("baselines", "[" + baselines + "]")
+                        .object());
             }
         }
         m.print(strprintf("%s vs best baseline per scenario (margin "
@@ -389,127 +390,69 @@ main(int argc, char **argv)
         writer.write(trace_out);
     }
 
-    const std::string json = args.getString("json", "");
     if (!json.empty()) {
-        std::FILE *f = std::fopen(json.c_str(), "w");
-        if (f == nullptr)
-            fatal("cannot write %s", json.c_str());
-        std::fprintf(f, "{\n  \"bench\": \"serve_loop\",\n");
-        std::fprintf(f,
-                     "  \"socs\": %d, \"rpc\": %d, "
-                     "\"outstanding\": %d,\n",
-                     socs, rpc, outstanding);
-        std::fprintf(f,
-                     "  \"think_factor\": %.3f, "
-                     "\"timeout_scale\": %.3f, \"retries\": %d,\n",
-                     think, timeout_scale, retries);
-        std::fprintf(f,
-                     "  \"downtime\": %.1f, \"inflight\": \"%s\", "
-                     "\"autoscale\": %d,\n",
-                     downtime, serve::inflightPolicyName(inflight),
-                     autoscale ? 1 : 0);
-        std::fprintf(f,
-                     "  \"control_quantum\": %llu, \"seed\": %llu, "
-                     "\"kernel\": \"%s\",\n",
-                     static_cast<unsigned long long>(quantum),
-                     static_cast<unsigned long long>(seed),
-                     sim::simKernelName(base.kernel));
-        std::fprintf(f, "  \"jobs\": %d,\n",
-                     exp::resolveJobs(opts.jobs));
-        std::fprintf(f, "  \"cells\": [\n");
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            const auto &cell = cells[i];
+        BenchJson doc;
+        doc.bench = "serve_loop";
+        doc.header.num("socs", "%d", socs)
+            .num("rpc", "%d", rpc)
+            .num("outstanding", "%d", outstanding)
+            .num("think_factor", "%.3f", think)
+            .num("timeout_scale", "%.3f", timeout_scale)
+            .num("retries", "%d", retries)
+            .num("downtime", "%.1f", downtime)
+            .str("inflight", serve::inflightPolicyName(inflight))
+            .num("autoscale", "%d", autoscale ? 1 : 0)
+            .count("control_quantum", quantum)
+            .count("seed", seed)
+            .str("kernel", sim::simKernelName(base.kernel))
+            .num("jobs", "%d", exp::resolveJobs(opts.jobs));
+        for (const auto &cell : cells) {
             const auto &r = cell.result;
             const auto &c = r.cluster;
-            std::fprintf(
-                f,
-                "    {\"family\": \"%s\", \"scenario\": \"%s\", "
-                "\"dispatcher\": \"%s\", \"policy\": \"%s\",\n"
-                "     \"requests\": %llu, \"attempts\": %llu, "
-                "\"responses\": %llu, \"give_ups\": %llu,\n"
-                "     \"timeouts\": %llu, \"retries\": %llu, "
-                "\"shed\": %llu, \"deferrals\": %llu, "
-                "\"orphans\": %llu,\n"
-                "     \"requeued\": %llu, \"lost_jobs\": %llu, "
-                "\"fail_events\": %llu, \"recover_events\": %llu,\n"
-                "     \"scale_ups\": %llu, \"scale_downs\": %llu, "
-                "\"success_rate\": %.6f,\n"
-                "     \"sla_rate\": %.6f, \"sla_rate_high\": %.6f, "
-                "\"goodput\": %.4f,\n"
-                "     \"shed_rate\": %.6f, \"retry_rate\": %.6f, "
-                "\"timeout_rate\": %.6f,\n"
-                "     \"norm_p50\": %.4f, \"norm_p99\": %.4f, "
-                "\"client_p50\": %.1f, \"client_p99\": %.1f,\n"
-                "     \"stp\": %.6f, \"makespan\": %llu, "
-                "\"balance_cv\": %.4f, \"epochs\": %llu,\n"
-                "     \"mean_up_socs\": %.4f, \"end_cycle\": %llu, "
-                "\"wall_s\": %.6f}%s\n",
-                cell.family.c_str(), cell.scenario.c_str(),
-                cell.dispatcher.c_str(), cell.policy.c_str(),
-                static_cast<unsigned long long>(r.requests),
-                static_cast<unsigned long long>(r.attempts),
-                static_cast<unsigned long long>(r.responses),
-                static_cast<unsigned long long>(r.giveUps),
-                static_cast<unsigned long long>(r.timeouts),
-                static_cast<unsigned long long>(r.retries),
-                static_cast<unsigned long long>(r.shed),
-                static_cast<unsigned long long>(r.deferrals),
-                static_cast<unsigned long long>(r.orphans),
-                static_cast<unsigned long long>(r.requeued),
-                static_cast<unsigned long long>(r.lostJobs),
-                static_cast<unsigned long long>(r.failEvents),
-                static_cast<unsigned long long>(r.recoverEvents),
-                static_cast<unsigned long long>(r.scaleUps),
-                static_cast<unsigned long long>(r.scaleDowns),
-                r.successRate, c.slaRate, c.slaRateHigh, c.goodput,
-                c.shedRate, c.retryRate, c.timeoutRate,
-                c.normLatency.p50, c.normLatency.p99,
-                r.clientLatency.p50, r.clientLatency.p99, c.stp,
-                static_cast<unsigned long long>(c.makespan),
-                c.balanceCv,
-                static_cast<unsigned long long>(c.epochs),
-                r.meanUpSocs,
-                static_cast<unsigned long long>(r.endCycle),
-                record_wall ? cell.wall : 0.0,
-                i + 1 < cells.size() ? "," : "");
+            doc.cells.push_back(
+                JsonFields()
+                    .str("family", cell.family)
+                    .str("scenario", cell.scenario)
+                    .str("dispatcher", cell.dispatcher)
+                    .str("policy", cell.policy)
+                    .count("requests", r.requests)
+                    .count("attempts", r.attempts)
+                    .count("responses", r.responses)
+                    .count("give_ups", r.giveUps)
+                    .count("timeouts", r.timeouts)
+                    .count("retries", r.retries)
+                    .count("shed", r.shed)
+                    .count("deferrals", r.deferrals)
+                    .count("orphans", r.orphans)
+                    .count("requeued", r.requeued)
+                    .count("lost_jobs", r.lostJobs)
+                    .count("fail_events", r.failEvents)
+                    .count("recover_events", r.recoverEvents)
+                    .count("scale_ups", r.scaleUps)
+                    .count("scale_downs", r.scaleDowns)
+                    .num("success_rate", "%.6f", r.successRate)
+                    .num("sla_rate", "%.6f", c.slaRate)
+                    .num("sla_rate_high", "%.6f", c.slaRateHigh)
+                    .num("goodput", "%.4f", c.goodput)
+                    .num("shed_rate", "%.6f", c.shedRate)
+                    .num("retry_rate", "%.6f", c.retryRate)
+                    .num("timeout_rate", "%.6f", c.timeoutRate)
+                    .num("norm_p50", "%.4f", c.normLatency.p50)
+                    .num("norm_p99", "%.4f", c.normLatency.p99)
+                    .num("client_p50", "%.1f", r.clientLatency.p50)
+                    .num("client_p99", "%.1f", r.clientLatency.p99)
+                    .num("stp", "%.6f", c.stp)
+                    .count("makespan", c.makespan)
+                    .num("balance_cv", "%.4f", c.balanceCv)
+                    .count("epochs", c.epochs)
+                    .num("mean_up_socs", "%.4f", r.meanUpSocs)
+                    .count("end_cycle", r.endCycle)
+                    .num("wall_s", "%.6f", record_wall ? cell.wall : 0.0)
+                    .object());
         }
-        std::fprintf(f, "  ],\n");
-        std::fprintf(f, "  \"margins\": [\n");
-        for (std::size_t i = 0; i < margins.size(); ++i) {
-            const Margin &mg = margins[i];
-            const auto &rr = mg.refCell->result.cluster;
-            std::fprintf(
-                f,
-                "    {\"family\": \"%s\", \"scenario\": \"%s\", "
-                "\"dispatcher\": \"%s\", \"ref\": \"%s\",\n"
-                "     \"ref_sla\": %.6f, \"ref_goodput\": %.4f, "
-                "\"baselines\": [",
-                mg.refCell->family.c_str(),
-                mg.refCell->scenario.c_str(),
-                mg.refCell->dispatcher.c_str(), ref.c_str(),
-                rr.slaRate, rr.goodput);
-            for (std::size_t o = 0; o < mg.others.size(); ++o) {
-                const auto &oc = mg.others[o]->result.cluster;
-                std::fprintf(
-                    f,
-                    "%s\n      {\"policy\": \"%s\", "
-                    "\"sla_rate\": %.6f, \"goodput\": %.4f, "
-                    "\"sla_ratio\": %.4f, "
-                    "\"goodput_ratio\": %.4f}",
-                    o > 0 ? "," : "",
-                    mg.others[o]->policy.c_str(), oc.slaRate,
-                    oc.goodput,
-                    rr.slaRate / std::max(oc.slaRate, 1e-3),
-                    rr.goodput / std::max(oc.goodput, 1e-3));
-            }
-            std::fprintf(f, "]}%s\n",
-                         i + 1 < margins.size() ? "," : "");
-        }
-        std::fprintf(f, "  ],\n");
-        std::fprintf(f, "  \"total\": {\"wall_s\": %.6f}\n}\n",
-                     timing ? total_wall : 0.0);
-        std::fclose(f);
-        std::printf("wrote %s\n", json.c_str());
+        doc.sections.emplace_back("margins", std::move(margins));
+        doc.total.num("wall_s", "%.6f", timing ? total_wall : 0.0);
+        doc.write(json);
     }
     return 0;
 }

@@ -35,9 +35,9 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "common/table.h"
-#include "common/text.h"
 #include "common/walltime.h"
 #include "exp/sweep/options.h"
 #include "obs/sampler.h"
@@ -66,18 +66,6 @@ class TimingSink : public exp::ResultSink
     WallTimer timer_;
 };
 
-std::vector<int>
-parseTaskList(const std::string &text)
-{
-    std::vector<int> tasks;
-    for (const auto &tok : splitCommaList(text))
-        tasks.push_back(
-            static_cast<int>(parseIntValue("tasks", tok)));
-    if (tasks.empty())
-        fatal("tasks= needs at least one value");
-    return tasks;
-}
-
 struct CellKey
 {
     workload::ArrivalPattern pattern;
@@ -85,17 +73,17 @@ struct CellKey
     std::string policy;
 };
 
-void
-writeJsonSide(std::FILE *f, const char *name,
-              const exp::ScenarioResult &r, double wall)
+/** One kernel's side of a cell record. */
+std::string
+kernelSide(const exp::ScenarioResult &r, double wall)
 {
-    std::fprintf(
-        f,
-        "      \"%s\": {\"wall_s\": %.6f, \"steps\": %llu, "
-        "\"sla_rate\": %.6f, \"stp\": %.6f, \"makespan\": %llu}",
-        name, wall, static_cast<unsigned long long>(r.simSteps),
-        r.metrics.slaRate, r.metrics.stp,
-        static_cast<unsigned long long>(r.makespan));
+    return JsonFields()
+        .num("wall_s", "%.6f", wall)
+        .count("steps", r.simSteps)
+        .num("sla_rate", "%.6f", r.metrics.slaRate)
+        .num("stp", "%.6f", r.metrics.stp)
+        .count("makespan", r.makespan)
+        .object();
 }
 
 } // namespace
@@ -106,6 +94,10 @@ main(int argc, char **argv)
     ArgMap args(argc, argv);
     sim::SocConfig base = exp::socConfigFromArgs(args);
     const std::string sample_out = args.getString("sample-out", "");
+    const std::string json = args.getString("json", "");
+    // Claim the outputs now: a bad path fails before the grid runs.
+    claimOutputFile(sample_out);
+    claimOutputFile(json);
     if (!sample_out.empty() && base.sampleEvery == 0) {
         base.sampleEvery = 100'000;
         inform("--sample-out without --sample-every: defaulting to "
@@ -113,8 +105,8 @@ main(int argc, char **argv)
                static_cast<unsigned long long>(base.sampleEvery));
     }
     const auto policies = exp::policiesFromArgs(args, {"moca"});
-    const auto tasks_list =
-        parseTaskList(args.getString("tasks", "2500,10000,25000"));
+    const auto tasks_list = parseIntList(
+        "tasks", args.getString("tasks", "2500,10000,25000"));
     const double load = args.getDouble("load", 0.8);
     const auto seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
@@ -263,6 +255,10 @@ main(int argc, char **argv)
                               : 0.0;
     };
 
+    // Per-tier speedup-vs-scale summary: the flat-cost claim the
+    // event kernel makes is that this column does not collapse as
+    // traces grow.
+    std::vector<std::string> tiers;
     if (both) {
         Table t({"pattern", "tasks", "policy", "q wall", "e wall",
                  "speedup", "steps q/e", "SLA q", "SLA e",
@@ -316,6 +312,15 @@ main(int argc, char **argv)
                         tasks, any_extrap ? "~" : "", qsum, esum,
                         any_extrap ? "~" : "",
                         esum > 0.0 ? qsum / esum : 0.0);
+            tiers.push_back(JsonFields()
+                                .num("tasks", "%d", tasks)
+                                .num("quantum_wall_s", "%.6f", qsum)
+                                .num("event_wall_s", "%.6f", esum)
+                                .num("speedup", "%.3f",
+                                     esum > 0.0 ? qsum / esum : 0.0)
+                                .add("extrapolated",
+                                     any_extrap ? "true" : "false")
+                                .object());
         }
         std::printf("\ntotal wall: quantum %.2f s, event %.2f s, "
                     "speedup %.1fx%s\n",
@@ -342,129 +347,69 @@ main(int argc, char **argv)
             obs::writeTimeseries(*sampled->telemetry, sample_out);
     }
 
-    const std::string json = args.getString("json", "");
     if (!json.empty()) {
-        std::FILE *f = std::fopen(json.c_str(), "w");
-        if (f == nullptr)
-            fatal("cannot write %s", json.c_str());
-        std::fprintf(f, "{\n  \"bench\": \"stress_scale\",\n");
-        std::fprintf(f, "  \"workload_set\": \"Workload-C\",\n");
-        std::fprintf(f, "  \"qos\": \"QoS-M\",\n");
-        std::fprintf(f, "  \"load_factor\": %.3f,\n", load);
-        std::fprintf(f, "  \"seed\": %llu,\n",
-                     static_cast<unsigned long long>(seed));
-        std::fprintf(f, "  \"jobs\": %d,\n",
-                     exp::resolveJobs(opts.jobs));
+        BenchJson doc;
+        doc.bench = "stress_scale";
+        doc.header.str("workload_set", "Workload-C")
+            .str("qos", "QoS-M")
+            .num("load_factor", "%.3f", load)
+            .count("seed", seed)
+            .num("jobs", "%d", exp::resolveJobs(opts.jobs));
         if (qcap > 0)
-            std::fprintf(f, "  \"quantum_cap\": %d,\n", qcap);
-        std::fprintf(f, "  \"cells\": [\n");
+            doc.header.num("quantum_cap", "%d", qcap);
         for (std::size_t i = 0; i < keys.size(); ++i) {
-            std::fprintf(
-                f,
-                "    {\"pattern\": \"%s\", \"tasks\": %d, "
-                "\"policy\": \"%s\",\n",
-                workload::arrivalPatternName(keys[i].pattern),
-                keys[i].tasks, keys[i].policy.c_str());
+            JsonFields cell;
+            cell.str("pattern",
+                     workload::arrivalPatternName(keys[i].pattern))
+                .num("tasks", "%d", keys[i].tasks)
+                .str("policy", keys[i].policy);
             const bool qmeasured = run_quantum && qindex[i] >= 0;
-            const char *sep = "";
-            if (qmeasured) {
-                writeJsonSide(
-                    f, "quantum",
-                    qres[static_cast<std::size_t>(qindex[i])],
-                    serial ? qtimes.walls[static_cast<std::size_t>(
-                                 qindex[i])]
-                           : 0.0);
-                sep = ",\n";
-            } else if (run_quantum) {
-                bool extrap = false;
-                std::fprintf(
-                    f,
-                    "      \"quantum_extrapolated\": "
-                    "{\"wall_s\": %.6f, \"cap\": %d}",
-                    quantumWall(i, extrap), qcap);
-                sep = ",\n";
-            }
+            const auto qi = static_cast<std::size_t>(qindex[i]);
+            const double qw = qmeasured && serial ? qtimes.walls[qi]
+                                                  : 0.0;
+            const double ew = run_event && serial ? etimes.walls[i]
+                                                  : 0.0;
+            bool extrap = false;
+            if (qmeasured)
+                cell.add("quantum", kernelSide(qres[qi], qw));
+            else if (run_quantum)
+                cell.add("quantum_extrapolated",
+                         JsonFields()
+                             .num("wall_s", "%.6f",
+                                  quantumWall(i, extrap))
+                             .num("cap", "%d", qcap)
+                             .object());
             if (run_event) {
-                std::fputs(sep, f);
-                writeJsonSide(f, "event", eres[i],
-                              serial ? etimes.walls[i] : 0.0);
-                const double ew = serial ? etimes.walls[i] : 0.0;
+                cell.add("event", kernelSide(eres[i], ew));
                 if (eres[i].simSteps > 0)
-                    std::fprintf(
-                        f, ",\n      \"event_ns_per_step\": %.3f",
-                        ew * 1e9 /
-                            static_cast<double>(eres[i].simSteps));
+                    cell.num("event_ns_per_step", "%.3f",
+                             ew * 1e9 /
+                                 static_cast<double>(eres[i].simSteps));
             }
-            if (both && qmeasured) {
-                const auto &qr =
-                    qres[static_cast<std::size_t>(qindex[i])];
-                const double qw =
-                    serial ? qtimes.walls[static_cast<std::size_t>(
-                                 qindex[i])]
-                           : 0.0;
-                const double ew = serial ? etimes.walls[i] : 0.0;
-                std::fprintf(
-                    f,
-                    ",\n      \"speedup\": %.3f, "
-                    "\"step_ratio\": %.3f, \"sla_delta\": %.6f",
-                    ew > 0.0 ? qw / ew : 0.0,
-                    static_cast<double>(qr.simSteps) /
-                        static_cast<double>(eres[i].simSteps),
-                    eres[i].metrics.slaRate - qr.metrics.slaRate);
-            } else if (both) {
-                bool extrap = false;
-                const double qw = quantumWall(i, extrap);
-                const double ew = serial ? etimes.walls[i] : 0.0;
-                std::fprintf(f,
-                             ",\n      \"speedup_extrapolated\": "
-                             "%.3f",
-                             ew > 0.0 ? qw / ew : 0.0);
-            }
-            std::fprintf(f, "}%s\n",
-                         i + 1 < keys.size() ? "," : "");
+            if (both && qmeasured)
+                cell.num("speedup", "%.3f", ew > 0.0 ? qw / ew : 0.0)
+                    .num("step_ratio", "%.3f",
+                         static_cast<double>(qres[qi].simSteps) /
+                             static_cast<double>(eres[i].simSteps))
+                    .num("sla_delta", "%.6f",
+                         eres[i].metrics.slaRate -
+                             qres[qi].metrics.slaRate);
+            else if (both)
+                cell.num("speedup_extrapolated", "%.3f",
+                         ew > 0.0 ? quantumWall(i, extrap) / ew : 0.0);
+            doc.cells.push_back(cell.object());
         }
-        std::fprintf(f, "  ],\n");
-        if (both) {
-            // Per-tier speedup-vs-scale summary: the flat-cost claim
-            // the event kernel makes is that this column does not
-            // collapse as traces grow.
-            std::fprintf(f, "  \"speedup_vs_scale\": [\n");
-            for (std::size_t k = 0; k < tasks_list.size(); ++k) {
-                const int tasks = tasks_list[k];
-                double qsum = 0.0, esum = 0.0;
-                bool any_extrap = false;
-                for (std::size_t i = 0; i < keys.size(); ++i) {
-                    if (keys[i].tasks != tasks)
-                        continue;
-                    bool extrap = false;
-                    qsum += quantumWall(i, extrap);
-                    any_extrap = any_extrap || extrap;
-                    esum += serial ? etimes.walls[i] : 0.0;
-                }
-                std::fprintf(
-                    f,
-                    "    {\"tasks\": %d, \"quantum_wall_s\": %.6f, "
-                    "\"event_wall_s\": %.6f, \"speedup\": %.3f, "
-                    "\"extrapolated\": %s}%s\n",
-                    tasks, qsum, esum,
-                    esum > 0.0 ? qsum / esum : 0.0,
-                    any_extrap ? "true" : "false",
-                    k + 1 < tasks_list.size() ? "," : "");
-            }
-            std::fprintf(f, "  ],\n");
-        }
-        std::fprintf(f, "  \"total\": {");
-        if (run_quantum)
-            std::fprintf(f, "\"quantum_wall_s\": %.6f%s", qwall,
-                         run_event ? ", " : "");
-        if (run_event)
-            std::fprintf(f, "\"event_wall_s\": %.6f", ewall);
         if (both)
-            std::fprintf(f, ", \"speedup\": %.3f",
-                         ewall > 0.0 ? qwall / ewall : 0.0);
-        std::fprintf(f, "}\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s\n", json.c_str());
+            doc.sections.emplace_back("speedup_vs_scale",
+                                      std::move(tiers));
+        if (run_quantum)
+            doc.total.num("quantum_wall_s", "%.6f", qwall);
+        if (run_event)
+            doc.total.num("event_wall_s", "%.6f", ewall);
+        if (both)
+            doc.total.num("speedup", "%.3f",
+                          ewall > 0.0 ? qwall / ewall : 0.0);
+        doc.write(json);
     }
     return 0;
 }

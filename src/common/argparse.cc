@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "common/log.h"
+#include "common/text.h"
 
 namespace moca {
 
@@ -27,6 +28,15 @@ isOptionValue(const std::string &token)
     return token.size() > 1 &&
         (std::isdigit(static_cast<unsigned char>(token[1])) ||
          token[1] == '.');
+}
+
+/** Split `text` on commas; fatal when it is empty. */
+std::vector<std::string>
+listTokens(const std::string &what, const std::string &text)
+{
+    if (text.empty())
+        fatal("%s needs at least one value", what.c_str());
+    return splitCommaList(text);
 }
 
 } // namespace
@@ -61,6 +71,24 @@ parseBoolValue(const std::string &what, const std::string &value)
         value == "off")
         return false;
     fatal("%s=%s is not a boolean", what.c_str(), value.c_str());
+}
+
+std::vector<int>
+parseIntList(const std::string &what, const std::string &text)
+{
+    std::vector<int> values;
+    for (const auto &tok : listTokens(what, text))
+        values.push_back(static_cast<int>(parseIntValue(what, tok)));
+    return values;
+}
+
+std::vector<double>
+parseDoubleList(const std::string &what, const std::string &text)
+{
+    std::vector<double> values;
+    for (const auto &tok : listTokens(what, text))
+        values.push_back(parseDoubleValue(what, tok));
+    return values;
 }
 
 ArgMap::ArgMap(int argc, char **argv)

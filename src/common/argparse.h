@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace moca {
 
@@ -23,6 +24,16 @@ std::int64_t parseIntValue(const std::string &what,
 double parseDoubleValue(const std::string &what,
                         const std::string &value);
 bool parseBoolValue(const std::string &what, const std::string &value);
+
+/**
+ * Parse a comma-separated list ("1,4,64") with parseIntValue /
+ * parseDoubleValue per token; fatal when `text` is empty ("socs needs
+ * at least one value") or a token is malformed.
+ */
+std::vector<int> parseIntList(const std::string &what,
+                              const std::string &text);
+std::vector<double> parseDoubleList(const std::string &what,
+                                    const std::string &text);
 
 /** Parsed key=value command-line overrides with typed lookups. */
 class ArgMap

@@ -13,24 +13,10 @@ namespace {
 // atomic so a main-thread setLogLevel() mid-sweep is not a data race.
 std::atomic<LogLevel> g_level{LogLevel::Normal};
 
-std::string
-vformat(const char *fmt, va_list ap)
-{
-    va_list ap_copy;
-    va_copy(ap_copy, ap);
-    int len = std::vsnprintf(nullptr, 0, fmt, ap_copy);
-    va_end(ap_copy);
-    if (len < 0)
-        return "<format error>";
-    std::vector<char> buf(static_cast<size_t>(len) + 1);
-    std::vsnprintf(buf.data(), buf.size(), fmt, ap);
-    return std::string(buf.data(), static_cast<size_t>(len));
-}
-
 void
 emit(const char *prefix, const char *fmt, va_list ap)
 {
-    std::string body = vformat(fmt, ap);
+    std::string body = vstrprintf(fmt, ap);
     std::fprintf(stderr, "%s%s\n", prefix, body.c_str());
 }
 
@@ -100,11 +86,25 @@ panic(const char *fmt, ...)
 }
 
 std::string
+vstrprintf(const char *fmt, va_list ap)
+{
+    va_list ap_copy;
+    va_copy(ap_copy, ap);
+    int len = std::vsnprintf(nullptr, 0, fmt, ap_copy);
+    va_end(ap_copy);
+    if (len < 0)
+        return "<format error>";
+    std::vector<char> buf(static_cast<size_t>(len) + 1);
+    std::vsnprintf(buf.data(), buf.size(), fmt, ap);
+    return std::string(buf.data(), static_cast<size_t>(len));
+}
+
+std::string
 strprintf(const char *fmt, ...)
 {
     va_list ap;
     va_start(ap, fmt);
-    std::string s = vformat(fmt, ap);
+    std::string s = vstrprintf(fmt, ap);
     va_end(ap);
     return s;
 }

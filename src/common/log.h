@@ -59,6 +59,10 @@ void panic(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 std::string strprintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/** strprintf() over a va_list, for printf-style wrappers. */
+std::string vstrprintf(const char *fmt, va_list ap)
+    __attribute__((format(printf, 1, 0)));
+
 } // namespace moca
 
 #endif // MOCA_COMMON_LOG_H

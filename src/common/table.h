@@ -44,7 +44,7 @@ class Table
     /** Print render() to stdout with an optional title line. */
     void print(const std::string &title = "") const;
 
-    /** Write csv() to the given path; warns on failure. */
+    /** Write csv() to the given path; fatal on failure. */
     void writeCsv(const std::string &path) const;
 
   private:

@@ -1,53 +1,9 @@
 #include "exp/sweep/sinks.h"
 
-#include <cstdio>
-
+#include "common/json.h"
 #include "common/log.h"
 
 namespace moca::exp {
-
-namespace {
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
-
-/** Write `text` to `path`; fatal, naming the path, on failure. */
-void
-writeTextFile(const std::string &path, const std::string &text)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        fatal("cannot write %s", path.c_str());
-    const bool written =
-        std::fwrite(text.data(), 1, text.size(), f) == text.size();
-    if (std::fclose(f) != 0 || !written)
-        fatal("cannot write %s", path.c_str());
-}
-
-/** Create (truncate) the sink's file up front, so an unwritable path
- *  fails before the first cell runs. */
-void
-claimOutputFile(const std::string &path)
-{
-    if (!path.empty())
-        writeTextFile(path, "");
-}
-
-} // namespace
 
 namespace {
 
@@ -225,30 +181,25 @@ void
 JsonSink::onResult(std::size_t index, const SweepCell &cell,
                    const ScenarioResult &r)
 {
-    records_.push_back(sweepRecordValues(index, cell, r));
+    const auto values = sweepRecordValues(index, cell, r);
+    JsonFields record;
+    for (std::size_t f = 0; f < values.size(); ++f) {
+        if (kSweepFields[f].numeric)
+            record.add(kSweepFields[f].name, values[f]);
+        else
+            record.str(kSweepFields[f].name, values[f]);
+    }
+    records_.push_back(record.object());
 }
 
 std::string
 JsonSink::text() const
 {
-    const auto &fields = sweepRecordFields();
     std::string out = "[\n";
-    for (std::size_t i = 0; i < records_.size(); ++i) {
-        out += "  {";
-        for (std::size_t f = 0; f < fields.size(); ++f) {
-            const std::string &v = records_[i][f];
-            out += "\"" + fields[f] + "\": ";
-            if (kSweepFields[f].numeric)
-                out += v;
-            else
-                out += "\"" + jsonEscape(v) + "\"";
-            if (f + 1 < fields.size())
-                out += ", ";
-        }
-        out += i + 1 < records_.size() ? "},\n" : "}\n";
-    }
-    out += "]\n";
-    return out;
+    for (std::size_t i = 0; i < records_.size(); ++i)
+        out += "  " + records_[i] +
+            (i + 1 < records_.size() ? ",\n" : "\n");
+    return out + "]\n";
 }
 
 void

@@ -83,7 +83,7 @@ class JsonSink : public ResultSink
 
   private:
     std::string path_;
-    std::vector<std::vector<std::string>> records_;
+    std::vector<std::string> records_; ///< Rendered objects.
 };
 
 } // namespace moca::exp

@@ -1,36 +1,13 @@
 #include "obs/chrome_trace.h"
 
 #include <algorithm>
-#include <fstream>
 
+#include "common/json.h"
 #include "common/log.h"
 
 namespace moca::obs {
 
 namespace {
-
-/** Escape a string for a JSON literal (names are simple, but be
- *  safe about quotes/backslashes/control chars). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strprintf("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
 
 /** Cycles -> trace microseconds at the 1 GHz simulated clock. */
 double
@@ -219,12 +196,7 @@ ChromeTraceWriter::render() const
 void
 ChromeTraceWriter::write(const std::string &path) const
 {
-    std::ofstream out(path);
-    if (!out) {
-        warn("cannot write chrome trace to %s", path.c_str());
-        return;
-    }
-    out << render();
+    writeTextFile(path, render());
     inform("wrote %zu trace events to %s (load in chrome://tracing "
            "or https://ui.perfetto.dev)",
            events_.size(), path.c_str());

@@ -60,7 +60,7 @@ class ChromeTraceWriter
     /** The {"traceEvents": [...]} JSON document. */
     std::string render() const;
 
-    /** Write render() to `path`; warns (not fatal) on I/O failure. */
+    /** Write render() to `path`; fatal on I/O failure. */
     void write(const std::string &path) const;
 
   private:

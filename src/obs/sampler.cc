@@ -1,7 +1,6 @@
 #include "obs/sampler.h"
 
-#include <fstream>
-
+#include "common/json.h"
 #include "common/log.h"
 #include "common/table.h"
 
@@ -65,12 +64,7 @@ writeTimeseries(const Timeseries &ts, const std::string &path)
 {
     const bool json = path.size() >= 5 &&
         path.compare(path.size() - 5, 5, ".json") == 0;
-    std::ofstream out(path);
-    if (!out) {
-        warn("cannot write timeseries to %s", path.c_str());
-        return;
-    }
-    out << (json ? timeseriesJson(ts) : timeseriesCsv(ts));
+    writeTextFile(path, json ? timeseriesJson(ts) : timeseriesCsv(ts));
     inform("wrote %zu telemetry samples to %s", ts.rows.size(),
            path.c_str());
 }

@@ -74,7 +74,7 @@ std::string timeseriesJson(const Timeseries &ts);
 
 /**
  * Write a timeseries to `path`: JSON when the path ends in ".json",
- * CSV otherwise.  Warns (does not die) on I/O failure.
+ * CSV otherwise.  Fatal on I/O failure.
  */
 void writeTimeseries(const Timeseries &ts, const std::string &path);
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common substrate: RNG determinism and
- * distributions, statistics accumulators, tables, argument parsing.
+ * distributions, statistics accumulators, tables, argument parsing,
+ * and the shared JSON renderer / file writer.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cmath>
 
 #include "common/argparse.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -191,6 +193,63 @@ TEST(ArgMap, ParsesTypes)
     EXPECT_TRUE(args.getBool("flag", false));
     EXPECT_EQ(args.getString("name", ""), "abc");
     EXPECT_EQ(args.getInt("missing", 17), 17);
+}
+
+TEST(ArgParse, CommaLists)
+{
+    EXPECT_EQ(parseIntList("socs", "1,4,64"),
+              (std::vector<int>{1, 4, 64}));
+    EXPECT_EQ(parseDoubleList("fail-rates", "0,2.5"),
+              (std::vector<double>{0.0, 2.5}));
+    EXPECT_DEATH(parseIntList("socs", ""),
+                 "socs needs at least one value");
+    EXPECT_DEATH(parseDoubleList("fail-rates", ""),
+                 "fail-rates needs at least one value");
+    EXPECT_DEATH(parseIntList("socs", "1,x"), "socs=x is not an integer");
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControlCharacters)
+{
+    EXPECT_EQ(jsonEscape("q\"b\\n\nt\tc\x01-"),
+              "q\\\"b\\\\n\\nt\\tc\\u0001-");
+}
+
+TEST(Json, BenchDocumentIsOneRecordPerLine)
+{
+    BenchJson doc;
+    doc.bench = "demo";
+    doc.header.num("load_factor", "%.3f", 0.8).str("kernel", "event");
+    doc.cells.push_back(
+        JsonFields().count("steps", 7).str("policy", "moca").object());
+    doc.cells.push_back(JsonFields().num("sla", "%.2f", 0.5).object());
+    doc.sections.emplace_back(
+        "margins",
+        std::vector<std::string>{JsonFields().add("ok", "true").object()});
+    doc.total.num("wall_s", "%.6f", 0.0);
+    EXPECT_EQ(doc.render(),
+              "{\n"
+              "  \"bench\": \"demo\",\n"
+              "  \"load_factor\": 0.800,\n"
+              "  \"kernel\": \"event\",\n"
+              "  \"cells\": [\n"
+              "    {\"steps\": 7, \"policy\": \"moca\"},\n"
+              "    {\"sla\": 0.50}\n"
+              "  ],\n"
+              "  \"margins\": [\n"
+              "    {\"ok\": true}\n"
+              "  ],\n"
+              "  \"total\": {\"wall_s\": 0.000000}\n"
+              "}\n");
+}
+
+TEST(Json, WriteTextFileDiesNamingThePath)
+{
+    // The open fails for a missing directory; on /dev/full the open
+    // succeeds and the flush at close fails (ENOSPC).
+    EXPECT_DEATH(writeTextFile("no_such_json_dir/out.json", "{}\n"),
+                 "cannot write no_such_json_dir/out.json");
+    EXPECT_DEATH(writeTextFile("/dev/full", "{}\n"),
+                 "cannot write /dev/full");
 }
 
 TEST(Units, CeilDiv)

@@ -235,7 +235,8 @@ TEST(Sinks, CsvRoundTrip)
 
 TEST(Sinks, JsonRoundTrip)
 {
-    const auto grid = smallGrid(8);
+    auto grid = smallGrid(8);
+    grid.back().label = "ctl\x01-label"; // Must not reach the file raw.
     JsonSink json(""); // No file: inspect text() directly.
     SweepOptions opts;
     opts.jobs = 2;
@@ -265,6 +266,11 @@ TEST(Sinks, JsonRoundTrip)
                                   results[0].metrics.slaRate)),
               std::string::npos);
     EXPECT_NE(text.find("\"policy\": \"moca\""), std::string::npos);
+
+    // Control characters are escaped, so the document stays valid.
+    EXPECT_NE(text.find("\"label\": \"ctl\\u0001-label\""),
+              std::string::npos);
+    EXPECT_EQ(text.find('\x01'), std::string::npos);
 }
 
 TEST(Sinks, UnwritablePathDiesBeforeAnyCellRuns)
